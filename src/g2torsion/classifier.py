@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 from . import linalg
 from .forms import Form, basis_indices, form_to_vector, vector_to_form
@@ -349,13 +350,9 @@ def to_five_frame(form):
     return Form(5, out)
 
 
-def from_five_frame(form5):
-    return Form(7, {tuple(F_TO_E[i - 1] for i in idx): v for idx, v in form5.coeffs.items()})
-
-
 def hodge5(form):
     """Hodge star of the 5-dimensional sub-frame, as a 7-frame form."""
-    return from_five_frame(to_five_frame(form).hodge())
+    return f_form(to_five_frame(form).hodge().coeffs)
 
 
 def two_field_template(a_, b_, c_, d_):
@@ -412,24 +409,13 @@ def quadric_member(b, mu):
                 if w2 < 0:
                     break
                 # w^2 must be a rational square
-                rn = _isqrt_exact(w2.numerator)
-                rd = _isqrt_exact(w2.denominator)
-                if rn is None or rd is None:
+                rn, rd = isqrt(w2.numerator), isqrt(w2.denominator)
+                if rn * rn != w2.numerator or rd * rd != w2.denominator:
                     continue
                 w = Fraction(rn, rd)
                 A = (s + w) / 2
                 D = (s - w) / 2
                 return (A, B, C, D)
-    return None
-
-
-def _isqrt_exact(n):
-    if n < 0:
-        return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
     return None
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,28 +35,8 @@ from .g2 import project3
 from .liegroup import (abelian, curvature, parse_algebra, parallel_fields,
                        r4_su2, su2, with_torsion)
 from .liouville import solve_liouville
-from .pipeline import form_mapping, rational_str
+from .pipeline import exact_json, form_mapping, rational_str
 from .spin import OCTONION_TRIPLES, standard_rep
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus its inputs and knobs."""
-
-    command: str
-    inputs: tuple = ()
-    m: tuple | None = None
-    mu: Fraction | None = None
-    b: Fraction | None = None
-    a: float = 0.5
-    domain: tuple = (1.0, 2.0)
-    grid: int = 400
-    points: int = 10
-    seed: int = 7
-    tol: float = 1e-6
-    fmt: str = "text"
-    report_path: str | None = None
-    placement: tuple | None = None
 
 
 def sci(x) -> str:
@@ -86,12 +65,12 @@ def _render_text(obj, indent=0):
     return lines
 
 
-def emit(payload: dict, cfg: RunConfig) -> None:
+def emit(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if cfg.report_path:
-        with open(cfg.report_path, "w") as fh:
+    if args.report_path:
+        with open(args.report_path, "w") as fh:
             fh.write(text + "\n")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(text)
     else:
         print("\n".join(line for line in _render_text(payload) if line is not None))
@@ -108,15 +87,15 @@ def _read(path):
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from exc
 
 
-def cmd_decompose(cfg: RunConfig):
-    form = parse_form(_read(cfg.inputs[0]), 7)
+def cmd_decompose(args):
+    form = parse_form(_read(args.form_file), 7)
     if form.degrees() not in ([], [3]):
         raise ValueError(f"expected a 3-form, found degrees {form.degrees()}")
     parts = project3(form)
     recomposed = parts[1] + parts[7] + parts[27] == form
     payload = {
         "command": "decompose",
-        "input": cfg.inputs[0],
+        "input": args.form_file,
         "components": {str(k): form_mapping(v) for k, v in parts.items()},
         "norms2": {str(k): rational_str(v.norm2()) for k, v in parts.items()},
         "recomposes": recomposed,
@@ -125,8 +104,8 @@ def cmd_decompose(cfg: RunConfig):
     return payload, recomposed
 
 
-def cmd_lemma(cfg: RunConfig):
-    m = classifier.EigenTriple.of(*cfg.m)
+def cmd_lemma(args):
+    m = classifier.EigenTriple.of(args.m1, args.m2, args.m3)
     family = classifier.solve_family(m)
     payload = {
         "command": "lemma",
@@ -145,19 +124,19 @@ def cmd_lemma(cfg: RunConfig):
             "particular": form_mapping(family.particular),
             "directions": [form_mapping(d) for d in family.directions],
         })
-    if cfg.mu is not None:
-        roots = classifier.eigenvalue_roots(cfg.mu)
+    if args.mu is not None:
+        roots = classifier.eigenvalue_roots(args.mu)
         admissible = all(x in roots for x in m.values)
-        payload["mu"] = rational_str(cfg.mu)
+        payload["mu"] = rational_str(args.mu)
         payload["roots_admissible"] = admissible
         payload["torsion_value"] = rational_str(
-            classifier.torsion_value(m, cfg.mu))
+            classifier.torsion_value(m, args.mu))
     payload["passed"] = passed
     return payload, passed
 
 
-def cmd_values(cfg: RunConfig):
-    mu = cfg.mu if cfg.mu is not None else Fraction(7)
+def cmd_values(args):
+    mu = args.mu
     table = classifier.torsion_value_enumeration(mu)
     fibers = classifier.torsion_value_fibers(mu)
     expected = ({Fraction(0): 3, mu / 2: 3, -mu / 2: 1, mu: 1} if mu
@@ -177,7 +156,7 @@ def cmd_values(cfg: RunConfig):
     return payload, passed
 
 
-def cmd_kernels(cfg: RunConfig):
+def cmd_kernels(args):
     dims = {k: classifier.kernel_dims(k) for k in (1, 2, 3, 4)}
     pinned = {1: 27, 3: 14, 4: 9}
     passed = all(dims[k] == v for k, v in pinned.items())
@@ -190,88 +169,86 @@ def cmd_kernels(cfg: RunConfig):
     return payload, passed
 
 
-def cmd_det_e2(cfg: RunConfig):
-    mu = cfg.mu if cfg.mu is not None else Fraction(7)
-    b = cfg.b if cfg.b is not None else Fraction(5, 7) * mu
+def cmd_det_e2(args):
+    b, mu = args.b, args.mu
     try:
         report = classifier.det_e2(b, mu)
     except AssertionError as exc:
         payload = {"command": "det-e2", "b": rational_str(b),
                    "mu": rational_str(mu), "error": str(exc), "passed": False}
         return payload, False
-    member = report["member"]
-    payload = {
+    payload = exact_json({
         "command": "det-e2",
-        "b": rational_str(b),
-        "mu": rational_str(mu),
-        "closed_form": rational_str(report["closed_form"]),
-        "member": None if member is None else [rational_str(x) for x in member],
-        "det4": None if report["det4"] is None else rational_str(report["det4"]),
-        "det6": None if report["det6"] is None else rational_str(report["det6"]),
-        "cross_checked": member is not None,
+        "b": b,
+        "mu": mu,
+        "closed_form": report["closed_form"],
+        "member": report["member"],
+        "det4": report["det4"],
+        "det6": report["det6"],
+        "cross_checked": report["member"] is not None,
         "passed": True,
-    }
+    })
     return payload, True
 
 
-def cmd_group_report(cfg: RunConfig):
-    algebra = parse_algebra(_read(cfg.inputs[0]), n=7)
-    report = pipeline.run(algebra, placement=cfg.placement)
-    payload = {"command": "group-report", "input": cfg.inputs[0]}
+def cmd_group_report(args):
+    algebra = parse_algebra(_read(args.algebra_file), n=7)
+    report = pipeline.run(algebra, placement=args.placement)
+    payload = {"command": "group-report", "input": args.algebra_file}
     payload.update(report.to_dict())
     return payload, report.passed
 
 
-def cmd_kahler(cfg: RunConfig):
-    sol = solve_liouville(cfg.a, domain=cfg.domain, n=cfg.grid)
+def cmd_kahler(args):
+    sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     cf = kahler_coframe(sol)
-    rng = np.random.default_rng(cfg.seed)
-    points = cf.sample_points(rng, cfg.points)
+    rng = np.random.default_rng(args.seed)
+    points = cf.sample_points(rng, args.points)
     eigs = kahler_ricci_eigenvalues(cf, points)
-    target = 4.0 * cfg.a * cfg.a
+    target = 4.0 * args.a * args.a
     want = np.array([0.0, 0.0, target, target])
     deviation = float(np.max(np.abs(eigs - want)))
-    passed = deviation <= cfg.tol
+    passed = deviation <= args.tol
     payload = {
         "command": "kahler",
-        "a": sci(cfg.a),
-        "domain": [sci(x) for x in cfg.domain],
-        "grid": cfg.grid,
-        "points": cfg.points,
+        "a": sci(args.a),
+        "domain": [sci(x) for x in args.domain],
+        "grid": args.grid,
+        "points": args.points,
         "solver_residual": sci(sol.residual_norm),
         "target": sci(target),
         "eigenvalues": [[sci(x) for x in row] for row in eigs],
         "max_deviation": sci(deviation),
-        "multiplicity_gap": bool(cfg.a == 0.0
+        "multiplicity_gap": bool(args.a == 0.0
                                  or eigenvalue_multiplicity_gap(eigs, target)),
-        "tolerance": sci(cfg.tol),
+        "tolerance": sci(args.tol),
         "passed": passed,
     }
     return payload, passed
 
 
-def cmd_theorem1(cfg: RunConfig):
-    sol = solve_liouville(cfg.a, domain=cfg.domain, n=cfg.grid)
+def cmd_theorem1(args):
+    sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     try:
         bundle = assemble_N5(sol)
     except ValueError as exc:
-        payload = {"command": "theorem1", "a": sci(cfg.a),
+        payload = {"command": "theorem1", "a": sci(args.a),
                    "error": str(exc), "passed": False}
         return payload, False
-    rng = np.random.default_rng(cfg.seed)
-    points = bundle.total.sample_points(rng, cfg.points)
+    rng = np.random.default_rng(args.seed)
+    points = bundle.total.sample_points(rng, args.points)
     rep = strominger_check(bundle, points)
     residuals = rep.residual_items()
     norm_ok = rep.torsion_norm_residual <= 1e-8
-    others_ok = all(v <= cfg.tol for k, v in residuals.items()
+    others_ok = all(v <= args.tol for k, v in residuals.items()
                     if k != "torsion_norm")
-    curved = cfg.a == 0.0 or rep.max_r_nabla > 0.01
+    curved = args.a == 0.0 or rep.max_r_nabla > 0.01
     passed = norm_ok and others_ok and curved
     panel = bundle.panel
     payload = {
         "command": "theorem1",
-        "a": sci(cfg.a),
-        "grid": cfg.grid,
+        "a": sci(args.a),
+        "grid": args.grid,
         "points": rep.points,
         "mu": sci(bundle.mu),
         "hypotheses": {
@@ -287,7 +264,7 @@ def cmd_theorem1(cfg: RunConfig):
         "residuals": {k: sci(v) for k, v in residuals.items()},
         "max_r_nabla": sci(rep.max_r_nabla),
         "non_flat": curved,
-        "tolerance": sci(cfg.tol),
+        "tolerance": sci(args.tol),
         "torsion_norm_tolerance": sci(1e-8),
         "passed": passed,
     }
@@ -305,7 +282,7 @@ def _selftest_items():
            spec == {(Fraction(-7), 1), (Fraction(1), 7)},
            ", ".join(f"{rational_str(v)} (x{m})" for v, m in sorted(spec)))
 
-    from .g2 import lambda7_basis, lambda27_basis, standard_omega3
+    from .g2 import lambda7_basis, lambda27_basis
     psi0 = rep.find_psi0()
     ranks = (1, len(lambda7_basis()), len(lambda27_basis()))
     ann = all(all(x == 0 for x in rep.act(f, psi0)) for f in lambda27_basis())
@@ -387,7 +364,7 @@ def _selftest_items():
     yield "bundle residual panel", ok, f"max residual {max(res.values()):.2e}"
 
 
-def cmd_selftest(cfg: RunConfig):
+def cmd_selftest(args):
     items = []
     passed = True
     for name, ok, witness in _selftest_items():
@@ -449,58 +426,42 @@ def build_parser():
                    help="comma-separated frame permutation, e.g. 1,2,7,3,4,5,6")
     common(p)
 
-    p = sub.add_parser("kahler", help="Ricci spectrum of the Kaehler metric")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--domain", type=float, nargs=2, default=(1.0, 2.0))
-    p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-6)
-    common(p)
-
-    p = sub.add_parser("theorem1", help="bundle assembly and residual panel")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--domain", type=float, nargs=2, default=(1.0, 2.0))
-    p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-6)
-    common(p)
+    for name, text in (("kahler", "Ricci spectrum of the Kaehler metric"),
+                       ("theorem1", "bundle assembly and residual panel")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--a", type=float, default=0.5)
+        p.add_argument("--domain", type=float, nargs=2, default=(1.0, 2.0))
+        p.add_argument("--grid", type=int, default=400)
+        p.add_argument("--points", type=int, default=10)
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--tol", type=float, default=1e-6)
+        common(p)
 
     p = sub.add_parser("selftest", help="curated battery across all modules")
     common(p)
     return top
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, fmt=args.fmt,
-                    report_path=args.report_path)
-    if args.command == "decompose":
-        cfg.inputs = (args.form_file,)
-    elif args.command == "lemma":
-        cfg.m = (args.m1, args.m2, args.m3)
-        cfg.mu = args.mu
-    elif args.command == "values":
-        cfg.mu = args.mu
-    elif args.command == "det-e2":
-        cfg.b, cfg.mu = args.b, args.mu
-    elif args.command == "group-report":
-        cfg.inputs = (args.algebra_file,)
+def _check_args(args) -> None:
+    """Input checks argparse does not express; each exits with code 2.
+
+    Also turns a --placement list into a tuple of ints.
+    """
+    if args.command == "group-report":
         if args.placement:
             try:
-                cfg.placement = tuple(int(x) for x in args.placement.split(","))
+                args.placement = tuple(int(x) for x in args.placement.split(","))
             except ValueError as exc:
                 raise SystemExit(f"error: bad --placement: {exc}") from exc
+        else:
+            args.placement = None
     elif args.command in ("kahler", "theorem1"):
         if args.tol <= 0:
             raise SystemExit("error: --tol must be positive")
         if args.grid < 4:
             raise SystemExit("error: --grid must be at least 4")
-        cfg.a = args.a
-        cfg.domain = tuple(args.domain)
-        cfg.grid, cfg.points = args.grid, args.points
-        cfg.seed, cfg.tol = args.seed, args.tol
-    return cfg
+        if args.points < 1:
+            raise SystemExit("error: --points must be at least 1")
 
 
 DISPATCH = {
@@ -517,11 +478,10 @@ DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        payload, passed = DISPATCH[cfg.command](cfg)
+        _check_args(args)
+        payload, passed = DISPATCH[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
@@ -536,7 +496,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    emit(payload, cfg)
+    emit(payload, args)
     return 0 if passed else 1
 
 

@@ -16,37 +16,15 @@ the metric connection with that skew torsion, nabla = nabla^g + 1/2 T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
 
-from .forms import basis_indices
+from .forms import perm_sign, sort_index
 
 Array = np.ndarray
-
-
-# ------------------------------------------------------------ permutations
-
-
-def perm_sign(seq):
-    """Sign of the permutation sorting seq (0 if repeated entries)."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return 0
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
-def sort_index(idx):
-    """(sorted tuple, sign) for a 1-based index tuple."""
-    s = perm_sign(idx)
-    return tuple(sorted(idx)), s
 
 
 # ------------------------------------------------------------ float forms
@@ -191,10 +169,6 @@ class CoframeField:
         """E with e_j = sum_beta E[beta, j] d/dx_beta (columns are frame vectors)."""
         return np.linalg.inv(self.coeff(p))
 
-    def is_interior(self, p, margin=0.0) -> bool:
-        return all(lo + margin <= x <= hi - margin
-                   for x, (lo, hi) in zip(p, self.domain))
-
     def sample_points(self, rng, count, margin_frac=0.1):
         pts = []
         for _ in range(count):
@@ -233,21 +207,17 @@ def connection_coefficients(cf: CoframeField, p: Array,
     """gamma of the metric connection with optional frame-constant skew torsion."""
     gamma = levi_civita_cartan(structure_functions(cf, p))
     if torsion:
-        n = cf.n
-        t = np.zeros((n, n, n))
-        for idx, v in torsion.items():
-            for perm_idx, base in _permutations_with_sign(idx):
-                t[perm_idx] = base * v
-        gamma = gamma + 0.5 * t
+        gamma = gamma + 0.5 * _skew_tensor(torsion, cf.n)
     return gamma
 
 
-def _permutations_with_sign(idx):
-    from itertools import permutations
-
-    for perm in permutations(range(len(idx))):
-        sign = perm_sign(perm)
-        yield tuple(idx[q] - 1 for q in perm), sign
+def _skew_tensor(torsion: dict, n: int) -> Array:
+    """Dense t[i, j, k] = T(e_i, e_j, e_k) of a float 3-form {(i, j, k): v}."""
+    t = np.zeros((n, n, n))
+    for idx, v in torsion.items():
+        for perm in permutations(range(len(idx))):
+            t[tuple(idx[q] - 1 for q in perm)] = perm_sign(perm) * v
+    return t
 
 
 @dataclass
@@ -314,10 +284,7 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: dict | None = None,
 
 def torsion_ricci(torsion: dict, n: int) -> Array:
     """(1/4) sum_{i,j} T(x, e_i, e_j) T(y, e_i, e_j) for frame-constant T."""
-    t = np.zeros((n, n, n))
-    for idx, v in torsion.items():
-        for perm_idx, s in _permutations_with_sign(idx):
-            t[perm_idx] = s * v
+    t = _skew_tensor(torsion, n)
     return 0.25 * np.einsum("xij,yij->xy", t, t)
 
 

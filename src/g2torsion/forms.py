@@ -16,10 +16,11 @@ Conventions fixed here and used throughout the package:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import frac
+from .linalg import frac, rational_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,7 +28,7 @@ ONE = Fraction(1)
 Index = tuple  # strictly increasing tuple of 1-based ints
 
 
-def _sort_index(idx):
+def sort_index(idx):
     """Sort an index tuple, returning (sorted_tuple, sign); sign 0 if repeated."""
     idx = list(idx)
     sign = 1
@@ -44,11 +45,9 @@ def _sort_index(idx):
     return tuple(idx), sign
 
 
-def _merge_sign(i_idx, j_idx):
-    """Sign of concatenating two sorted disjoint tuples, or 0 if they overlap."""
-    merged = i_idx + j_idx
-    out, sign = _sort_index(merged)
-    return out, sign
+def perm_sign(seq):
+    """Sign of the permutation sorting seq (0 if repeated entries)."""
+    return sort_index(seq)[1]
 
 
 class Form:
@@ -69,7 +68,7 @@ class Form:
                 c = frac(c)
                 if c == 0:
                     continue
-                sidx, sign = _sort_index(tuple(idx))
+                sidx, sign = sort_index(tuple(idx))
                 if sign == 0:
                     continue
                 if any(not 1 <= i <= n for i in sidx):
@@ -98,7 +97,7 @@ class Form:
         """terms: iterable of (coefficient, index-tuple)."""
         acc = {}
         for c, idx in terms:
-            sidx, sign = _sort_index(tuple(idx))
+            sidx, sign = sort_index(tuple(idx))
             if sign == 0:
                 continue
             acc[sidx] = acc.get(sidx, ZERO) + sign * frac(c)
@@ -141,7 +140,7 @@ class Form:
         return hash((self.n, tuple(sorted(self.coeffs.items()))))
 
     def __getitem__(self, idx):
-        sidx, sign = _sort_index(tuple(idx))
+        sidx, sign = sort_index(tuple(idx))
         if sign == 0:
             return ZERO
         return sign * self.coeffs.get(sidx, ZERO)
@@ -199,7 +198,7 @@ class Form:
         acc = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
-                merged, sign = _merge_sign(i, j)
+                merged, sign = sort_index(i + j)
                 if sign == 0:
                     continue
                 acc[merged] = acc.get(merged, ZERO) + sign * ci * cj
@@ -248,7 +247,7 @@ class Form:
         acc = {}
         for idx, c in self.coeffs.items():
             comp = tuple(i for i in full if i not in idx)
-            _, sign = _sort_index(idx + comp)
+            _, sign = sort_index(idx + comp)
             acc[comp] = acc.get(comp, ZERO) + sign * c
         out = Form.__new__(Form)
         out.n = self.n
@@ -324,9 +323,6 @@ class Form:
     def __str__(self):
         return format_form(self)
 
-    def to_float_dict(self):
-        return {i: float(c) for i, c in self.coeffs.items()}
-
 
 # ---------------- serialization ----------------
 
@@ -338,21 +334,21 @@ def format_form(form):
     pieces = []
     for idx, c in form.sorted_terms():
         sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        coeff = rational_str(abs(c))
         label = "1" if not idx else "e" + "".join(str(i) for i in idx)
         pieces.append(f"{sign}{coeff}*{label}")
     return " ".join(pieces)
 
 
 def _parse_term(tok):
-    """One '+p/q*eIJK' token -> (coefficient, index tuple)."""
-    sign = 1
-    if tok[0] == "+":
-        tok = tok[1:]
-    elif tok[0] == "-":
-        sign = -1
-        tok = tok[1:]
+    """One unsigned 'p/q*eIJK' term -> (coefficient, index tuple).
+
+    The coefficient and the monomial may be joined by '*', by whitespace or
+    by nothing; either one may be omitted.
+    """
+    tok = re.sub(r"\s*\*\s*", "*", tok.strip())
+    if "*" not in tok:
+        tok = re.sub(r"\s+", "*", tok, count=1)
     if "*" in tok:
         cpart, epart = tok.split("*", 1)
     elif "e" in tok:
@@ -360,12 +356,10 @@ def _parse_term(tok):
         cpart, epart = tok[:pos], tok[pos:]
     else:
         cpart, epart = tok, ""
-    cpart = cpart.strip()
     try:
         coeff = Fraction(cpart) if cpart else ONE
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coefficient {cpart!r}: {exc}") from exc
-    epart = epart.strip()
     if epart in ("", "1"):
         idx = ()
     else:
@@ -377,29 +371,33 @@ def _parse_term(tok):
         idx = tuple(int(d) for d in digits)
         if len(set(idx)) != len(idx):
             raise ValueError(f"repeated index in {epart!r}")
-    return sign * coeff, idx
+    return coeff, idx
 
 
 def parse_form(text, n):
-    """Inverse of format_form; '#' starts a comment, terms may span lines.
+    """Inverse of format_form; '#' starts a comment, a sum may span lines.
 
-    Accepts omitted '*' and an omitted unit coefficient.  Malformed tokens
-    raise ValueError carrying the line and column of the offending term.
+    Each line is split into terms at its '+' and '-' signs, so a sign may
+    stand apart from its term ('+ e127', '- 3/2 e34').  A term lies on one
+    line; a sign without a term after it is an error.  Accepts omitted '*'
+    and an omitted unit coefficient.  Malformed terms raise ValueError
+    carrying the line and column where the term starts.
     """
     terms = []
     for lineno, raw in enumerate(text.splitlines() or [""], start=1):
         line = raw.split("#", 1)[0]
-        # spacing out signs splits the line into sign-led monomial tokens,
-        # each of which appears verbatim in the original line
-        for tok in line.replace("-", " -").replace("+", " +").split():
-            if tok == "0":
+        for m in re.finditer(r"([+-]?)([^+-]*)", line):
+            sign, body = m.groups()
+            if not sign and not body.strip():
                 continue
             try:
-                terms.append(_parse_term(tok))
+                if not body.strip():
+                    raise ValueError(f"sign {sign!r} without a term")
+                coeff, idx = _parse_term(body)
             except ValueError as exc:
-                column = line.find(tok) + 1
                 raise ValueError(
-                    f"line {lineno}, column {column}: {exc}") from exc
+                    f"line {lineno}, column {m.start() + 1}: {exc}") from exc
+            terms.append((-coeff if sign == "-" else coeff, idx))
     return Form.from_terms(n, terms)
 
 

@@ -119,8 +119,3 @@ def char_torsion(d_omega3, d_omega4=None):
     t1 = w3.scale(mu / 7)
     t27 = torsion - t1
     return TorsionDecomposition(mu=mu, torsion=torsion, t1=t1, t27=t27, d_omega3=d_omega3)
-
-
-def torsion_split(torsion):
-    """Split an arbitrary torsion 3-form into (1, 7, 27) parts."""
-    return project3(torsion)

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .forms import Form, basis_indices
-from .linalg import frac
+from .forms import Form
+from .linalg import frac, rational_str
 from .spin import DIM_SPINOR, standard_rep
 
 ZERO = Fraction(0)
@@ -92,14 +92,6 @@ class LieAlgebraData:
                     if ck:
                         out[k - 1] += f * ck
         return out
-
-    def ad_matrix(self, i):
-        """Matrix of ad_{e_i} acting on coordinates."""
-        m = linalg.zeros(self.n, self.n)
-        for j in range(1, self.n + 1):
-            for k in range(1, self.n + 1):
-                m[k - 1][j - 1] = self.c(i, j, k)
-        return m
 
     def jacobi_holds(self):
         n = self.n
@@ -273,21 +265,6 @@ class InvariantConnection:
     def nabla_form(self, i, form):
         """Covariant derivative of an invariant form along e_i."""
         return endo_derivation(self.matrix(i), form).scale(-1)
-
-    def nabla_spinor(self, i, psi):
-        """Covariant derivative of a constant spinor along e_i (dimension 7)."""
-        if self.n != 7:
-            raise ValueError("spinor derivatives require dimension 7")
-        rep = standard_rep()
-        acc = [ZERO] * DIM_SPINOR
-        g = self.gamma[i - 1]
-        for k in range(1, 8):
-            for l in range(k + 1, 8):
-                coeff = g[k - 1][l - 1]
-                if coeff:
-                    w = linalg.matvec(rep.word((k, l)), psi)
-                    acc = [a + HALF * coeff * b for a, b in zip(acc, w)]
-        return acc
 
     def parallel_spinors(self):
         """Basis of constant spinors with nabla psi = 0 (dimension 7)."""
@@ -551,17 +528,7 @@ def su2(lam, n=3, slots=(1, 2, 3)):
         (b, c): {a: lam},
         (c, a): {b: lam},
     }
-    return LieAlgebraData(n, _orient(structure))
-
-
-def _orient(structure):
-    out = {}
-    for (i, j), comp in structure.items():
-        if i < j:
-            out[(i, j)] = dict(comp)
-        else:
-            out[(j, i)] = {k: -v for k, v in comp.items()}
-    return out
+    return LieAlgebraData(n, structure)
 
 
 def r4_su2(lam, slots=(1, 2, 7)):
@@ -577,7 +544,7 @@ def relabel(algebra, perm):
     structure = {}
     for (i, j), comp in algebra.structure.items():
         structure[(perm[i - 1], perm[j - 1])] = {perm[k - 1]: v for k, v in comp.items()}
-    return LieAlgebraData(n, _orient(structure))
+    return LieAlgebraData(n, structure)
 
 
 # ---------------- serialization ----------------
@@ -587,7 +554,8 @@ def parse_algebra(text, n=None):
     """Parse 'i j k value' lines (c^k_{ij}); '#' starts a comment.
 
     A '# dimension N' comment fixes the frame dimension; otherwise it is
-    inferred as the largest index seen (an explicit n argument wins).
+    inferred as the largest index seen.  An explicit n argument must agree
+    with the header when both are given.
     """
     entries = {}
     max_idx = 0
@@ -597,7 +565,7 @@ def parse_algebra(text, n=None):
         if len(comment) == 2:
             m = re.match(r"\s*dimension\s+(\d+)\s*$", comment[1])
             if m:
-                header_n = int(m.group(1))
+                header_n, header_line = int(m.group(1)), lineno
         line = comment[0].strip()
         if not line:
             continue
@@ -622,6 +590,9 @@ def parse_algebra(text, n=None):
         tgt[k] = val
     if n is None:
         n = header_n if header_n is not None else max_idx
+    elif header_n is not None and header_n != n:
+        raise ValueError(f"line {header_line}: header declares dimension "
+                         f"{header_n}, expected {n}")
     return LieAlgebraData(n, entries)
 
 
@@ -629,7 +600,5 @@ def format_algebra(algebra):
     lines = [f"# dimension {algebra.n}"]
     for (i, j) in sorted(algebra.structure):
         for k in sorted(algebra.structure[(i, j)]):
-            v = algebra.structure[(i, j)][k]
-            coeff = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            lines.append(f"{i} {j} {k} {coeff}")
+            lines.append(f"{i} {j} {k} {rational_str(algebra.structure[(i, j)][k])}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import lcm
 
 Vec = list
 Mat = list
@@ -26,6 +26,11 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def rational_str(x) -> str:
+    """An exact rational in lowest terms: 'p' for integers, else 'p/q'."""
+    return str(Fraction(x))
 
 
 def mat_copy(m):
@@ -45,8 +50,6 @@ def transpose(m):
 
 
 def matmul(a, b):
-    rb = len(b)
-    cb = len(b[0])
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
@@ -65,10 +68,6 @@ def mat_sub(a, b):
 
 def mat_scale(s, a):
     return [[s * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def trace(a):
@@ -111,7 +110,7 @@ def rank(m):
 
 
 def det(m):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination with first-nonzero pivots."""
     n = len(m)
     a = mat_copy(m)
     out = ONE
@@ -244,9 +243,7 @@ def rational_roots(coeffs, divisor_cap=10**9):
         roots[ZERO] = roots.get(ZERO, 0) + 1
         work = work[:-1]
     while len(work) > 1:
-        den = 1
-        for c in work:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in work))
         iw = [int(c * den) for c in work]
         a0, alead = iw[-1], iw[0]
         if a0 == 0:
@@ -272,12 +269,6 @@ def rational_roots(coeffs, divisor_cap=10**9):
         work, rem = _synthetic_division(work, found)
         assert rem == 0
     return sorted(roots.items()), True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def eigenvalues_exact(a):

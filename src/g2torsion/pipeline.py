@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .forms import Form
 from .g2 import char_torsion, project3, standard_omega3, standard_omega4
+from .linalg import rational_str
 from .liegroup import (LieAlgebraData, curvature, holonomy_algebra,
                        integrability_residual, parallel_fields, relabel,
                        with_torsion)
@@ -42,11 +42,6 @@ from .spin import standard_rep
 
 ZERO = Fraction(0)
 CANONICAL_SLOTS = (1, 2, 7)
-
-
-def rational_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def form_mapping(form: Form | None) -> dict:
@@ -57,8 +52,19 @@ def form_mapping(form: Form | None) -> dict:
             for idx, v in sorted(form.coeffs.items())}
 
 
-def matrix_listing(m) -> list:
-    return [[rational_str(x) for x in row] for row in m]
+def exact_json(x):
+    """JSON view of an exact value: forms as mappings, rationals as 'p/q',
+    tuples and lists (matrices, placements) as lists, dicts entrywise; None,
+    bools, ints and strings unchanged."""
+    if isinstance(x, Form):
+        return form_mapping(x)
+    if isinstance(x, Fraction):
+        return rational_str(x)
+    if isinstance(x, (tuple, list)):
+        return [exact_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: exact_json(v) for k, v in x.items()}
+    return x
 
 
 @dataclass(frozen=True)
@@ -104,39 +110,35 @@ class G2Report:
         self.checklist.append(ChecklistItem(name, bool(passed), witness))
 
     def to_dict(self) -> dict:
-        cond = dict(self.conditions) if self.conditions else None
-        return {
+        # form fields render as {} both when unset and when zero
+        return exact_json({
             "dim": self.dim,
-            "placement": list(self.placement) if self.placement else None,
+            "placement": self.placement,
             "cocalibrated": self.cocalibrated,
-            "cocalibration_residual": form_mapping(self.cocalibration_residual),
-            "mu": None if self.mu is None else rational_str(self.mu),
-            "torsion": form_mapping(self.torsion),
-            "torsion_scalar_part": form_mapping(self.t1),
-            "torsion_traceless_part": form_mapping(self.t27),
-            "norm2_torsion": None if self.norm2_torsion is None
-            else rational_str(self.norm2_torsion),
-            "norm2_d_omega3": None if self.norm2_d_omega3 is None
-            else rational_str(self.norm2_d_omega3),
-            "ric_nabla": None if self.ric_nabla is None
-            else matrix_listing(self.ric_nabla),
-            "ric_g": None if self.ric_g is None else matrix_listing(self.ric_g),
-            "scal_g": None if self.scal_g is None else rational_str(self.scal_g),
+            "cocalibration_residual": self.cocalibration_residual,
+            "mu": self.mu,
+            "torsion": self.torsion or {},
+            "torsion_scalar_part": self.t1 or {},
+            "torsion_traceless_part": self.t27 or {},
+            "norm2_torsion": self.norm2_torsion,
+            "norm2_d_omega3": self.norm2_d_omega3,
+            "ric_nabla": self.ric_nabla,
+            "ric_g": self.ric_g,
+            "scal_g": self.scal_g,
             "holonomy_dim": self.holonomy_dim,
             "parallel_field_count": self.parallel_field_count,
             "parallel_spinor_dim": self.parallel_spinor_dim,
-            "conditions": cond,
-            "t_theta": None if self.t_theta is None else rational_str(self.t_theta),
-            "t_theta_squared": None if self.t_theta_squared is None
-            else rational_str(self.t_theta_squared),
+            "conditions": self.conditions,
+            "t_theta": self.t_theta,
+            "t_theta_squared": self.t_theta_squared,
             "reconstruction_literal": self.reconstruction_literal,
-            "reconstruction_overcount": form_mapping(self.reconstruction_overcount),
+            "reconstruction_overcount": self.reconstruction_overcount or {},
             "passed": self.passed,
             "checklist": [
                 {"name": c.name, "passed": c.passed, "witness": c.witness}
                 for c in self.checklist
             ],
-        }
+        })
 
 
 def _parallel_triple(kernel, n):

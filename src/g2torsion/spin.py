@@ -5,7 +5,7 @@ octonions, using the same seven antisymmetric triples that define the
 calibration 3-form in :mod:`g2torsion.g2`.  All entries are 0 or +-1, so the
 representation is exact over the integers.
 
-Sign conventions are pinned by a spectral normalization: the operator of the
+Sign conventions are checked by a spectral normalization: the operator of the
 calibration 3-form acting on spinors must have spectrum {-7 (x1), +1 (x7)}.
 The one-dimensional eigenspace for -7 is spanned by the distinguished spinor
 returned by :func:`find_psi0`.
@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import linalg
-from .forms import Form
+from .forms import Form, sort_index
 from .linalg import frac
 
 ZERO = Fraction(0)
@@ -43,18 +44,7 @@ DIM_VECTOR = 7
 
 def _structure_constant(triples, i, j, k):
     """phi_{ijk}, totally antisymmetric extension of the triple table."""
-    idx = (i, j, k)
-    base = tuple(sorted(idx))
-    if len(set(idx)) < 3:
-        return 0
-    sign = 1
-    lst = list(idx)
-    for a in range(1, 3):
-        b = a
-        while b > 0 and lst[b - 1] > lst[b]:
-            lst[b - 1], lst[b] = lst[b], lst[b - 1]
-            sign = -sign
-            b -= 1
+    base, sign = sort_index((i, j, k))
     return sign * triples.get(base, 0)
 
 
@@ -104,31 +94,16 @@ class Eigenvalue:
 
 
 class CliffordRep:
-    """Exact Cl(7) representation with pinned spectral normalization."""
+    """Exact Cl(7) representation with a checked spectral normalization."""
 
     def __init__(self):
-        gammas = _build_gammas(OCTONION_TRIPLES)
-        if not _clifford_relations_hold(gammas):
-            flipped = {k: -v for k, v in OCTONION_TRIPLES.items()}
-            gammas = _build_gammas(flipped)
-            if not _clifford_relations_hold(gammas):
-                raise RuntimeError("octonion triple table does not satisfy Clifford relations")
-        # normalize the global sign so that the calibration 3-form operator
-        # has spectrum {-7: 1, +1: 7} rather than {+7: 1, -1: 7}
-        self.gammas = gammas
-        omega = Form(7, {k: v for k, v in OCTONION_TRIPLES.items()})
-        op = self.operator(omega)
-        tr7 = self._count_eigenvalue(op, frac(-7))
-        if tr7 == 0:
-            self.gammas = [linalg.mat_scale(frac(-1), g) for g in gammas]
-            op = self.operator(omega)
-            tr7 = self._count_eigenvalue(op, frac(-7))
-        if tr7 != 1:
-            raise RuntimeError("could not normalize 3-form operator spectrum to {-7, +1^7}")
-
-    @staticmethod
-    def _count_eigenvalue(op, lam):
-        return len(linalg.eigenspace(op, lam))
+        self.gammas = _build_gammas(OCTONION_TRIPLES)
+        if not _clifford_relations_hold(self.gammas):
+            raise RuntimeError("octonion triple table does not satisfy Clifford relations")
+        # the calibration 3-form operator must have spectrum {-7: 1, +1: 7}
+        op = self.operator(Form(7, OCTONION_TRIPLES))
+        if len(linalg.eigenspace(op, frac(-7))) != 1:
+            raise RuntimeError("3-form operator spectrum is not {-7, +1^7}")
 
     # ---------------- operators ----------------
 
@@ -168,36 +143,15 @@ class CliffordRep:
     # ---------------- spectra ----------------
 
     def spectrum(self, form):
-        """Eigenvalues with multiplicity of the operator of a form.
+        """Exact eigenvalues with multiplicity of the operator of a form.
 
-        Exact when the characteristic polynomial splits over Q (always the
-        case for the operators in this package); otherwise falls back to
-        numerically symmetrized eigenvalues with an explicit error bound.
+        Raises RuntimeError when the characteristic polynomial does not split
+        over Q; it splits for every operator this package builds.
         """
-        op = self.operator(form)
-        roots, split = linalg.eigenvalues_exact(op)
-        if split:
-            return [Eigenvalue(lam, mult, 0.0) for lam, mult in roots]
-        import numpy as np
-
-        a = np.array([[float(x) for x in row] for row in op])
-        sym_defect = float(np.abs(a - a.T).max())
-        vals = np.linalg.eigvals(a)
-        out = []
-        used = [False] * len(vals)
-        tol = 1e-9 + 10 * sym_defect
-        for i, v in enumerate(vals):
-            if used[i]:
-                continue
-            group = [v]
-            used[i] = True
-            for j in range(i + 1, len(vals)):
-                if not used[j] and abs(vals[j] - v) < tol:
-                    group.append(vals[j])
-                    used[j] = True
-            mean = sum(group) / len(group)
-            out.append(Eigenvalue(Fraction(mean.real).limit_denominator(10**6), len(group), tol))
-        return sorted(out, key=lambda e: e.value)
+        roots, split = linalg.eigenvalues_exact(self.operator(form))
+        if not split:
+            raise RuntimeError("characteristic polynomial does not split over Q")
+        return [Eigenvalue(lam, mult, 0.0) for lam, mult in roots]
 
     def find_psi0(self):
         """The distinguished unit-direction spinor: kernel of (omega-op + 7 I).
@@ -206,20 +160,15 @@ class CliffordRep:
         positive.  For the standard triple table this is the real octonion
         unit (1, 0, ..., 0).
         """
-        omega = Form(7, {k: v for k, v in OCTONION_TRIPLES.items()})
-        op = self.operator(omega)
+        op = self.operator(Form(7, OCTONION_TRIPLES))
         shifted = linalg.mat_add(op, linalg.mat_scale(frac(7), linalg.identity(DIM_SPINOR)))
         kern = linalg.nullspace(shifted)
         if len(kern) != 1:
             raise RuntimeError(f"expected 1-dimensional kernel, got {len(kern)}")
         v = kern[0]
-        den = 1
-        for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
+        g = gcd(*ints)
         ints = [x // g for x in ints]
         for x in ints:
             if x != 0:
@@ -232,20 +181,6 @@ class CliffordRep:
 @lru_cache(maxsize=1)
 def standard_rep():
     return CliffordRep()
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def spinor_norm2(s):
-    return sum((x * x for x in s), ZERO)
-
-
-def spinor_eq(a, b):
-    return list(a) == list(b)
 
 
 def spinor_scale(c, s):

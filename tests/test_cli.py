@@ -53,6 +53,17 @@ def test_decompose_rejects_wrong_degree(tmp_path, capsys):
     assert main(["decompose", str(f)]) == 2
 
 
+def test_decompose_readme_example_with_detached_signs(tmp_path, capsys):
+    f = tmp_path / "readme.form"
+    f.write_text("# the standard calibration 3-form\n"
+                 "+ e127 + e135 - e146 - e236 - e245 + e347 + e567\n")
+    code, payload = run_json(capsys, ["decompose", str(f)])
+    assert code == 0
+    assert payload["components"]["1"] == {
+        "127": "1", "135": "1", "146": "-1", "236": "-1",
+        "245": "-1", "347": "1", "567": "1"}
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["decompose", "/nonexistent/nowhere.form"]) == 2
 
@@ -121,6 +132,23 @@ def test_det_e2_generic_and_zero(capsys):
     assert payload["closed_form"] == "0"
 
 
+def test_det_e2_huge_scale_exits_without_traceback(capsys):
+    # a float square root of the 400-digit target overflows
+    code, payload = run_json(capsys, ["det-e2", "--b", "0", "--mu", "1" + "0" * 200])
+    assert code in (0, 1)
+    assert payload["command"] == "det-e2"
+
+
+def test_det_e2_finds_exact_square_beyond_float_precision(capsys):
+    # b = 5 mu / 7 makes the quadric target exactly mu^2
+    mu = 10**20 + 39
+    code, payload = run_json(capsys, ["det-e2", "--b", f"{5 * mu}/7", "--mu", str(mu)])
+    assert code == 0
+    assert payload["member"] == [str(mu), "0", "0", "0"]
+    assert payload["cross_checked"] is True
+    assert payload["det4"] == payload["closed_form"]
+
+
 # ------------------------------------------------------------ group-report
 
 
@@ -165,6 +193,15 @@ def test_group_report_bad_algebra_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_group_report_rejects_other_dimension_header(tmp_path, capsys):
+    f = tmp_path / "nine.alg"
+    f.write_text("# dimension 9\n1 2 7 -7\n1 7 2 7\n2 7 1 -7\n")
+    code = main(["group-report", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 1" in err and "dimension 9" in err
+
+
 def test_group_report_bad_placement(tmp_path, capsys):
     f = tmp_path / "bundled.alg"
     f.write_text(BUNDLED_ALG)
@@ -199,6 +236,11 @@ def test_cli_usage_errors(capsys):
         main(["kahler", "--grid", "notanint"])
     assert main(["kahler", "--grid", "2"]) == 2       # validated: grid >= 4
     assert main(["kahler", "--tol", "-1"]) == 2
+
+
+def test_kahler_rejects_zero_points(capsys):
+    assert main(["kahler", "--points", "0"]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ output modes

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from g2torsion.forms import Form, basis_indices, form_to_vector, parse_form, format_form
+from g2torsion.g2 import standard_omega3
 
 from .util import forms, perm_parity, small_fractions, vectors
 
@@ -141,6 +142,21 @@ def test_serialization_roundtrip(t):
 def test_parse_form_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_form("+1*e123\n+oops\n", 7)
+
+
+def test_parse_form_detached_signs():
+    readme = ("# the standard calibration 3-form\n"
+              "+ e127 + e135 - e146 - e236 - e245 + e347 + e567\n")
+    assert parse_form(readme, 7) == standard_omega3()
+    want = Form.basis(4, 1, 2) - Form.basis(4, 3, 4).scale(Fraction(3, 2))
+    assert parse_form("e12 - 3/2 e34", 4) == want
+
+
+@pytest.mark.parametrize("text, column", [("e12 +", 5), ("+", 1),
+                                          ("e12 + - e34", 5)])
+def test_parse_form_rejects_sign_without_term(text, column):
+    with pytest.raises(ValueError, match=f"line 1, column {column}"):
+        parse_form(text, 4)
 
 
 def test_form_vector_roundtrip():
