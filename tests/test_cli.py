@@ -238,6 +238,27 @@ def test_cli_usage_errors(capsys):
     assert main(["kahler", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
+def test_divergent_solve_exits_1_with_payload(command, capsys):
+    code = main([command, "--a", "5", "--grid", "50", "--points", "1",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Newton did not converge" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["command"] == command
+    assert payload["passed"] is False
+    assert "Newton did not converge" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
+@pytest.mark.parametrize("argv", [["--a", "nan"], ["--a", "inf"],
+                                  ["--domain", "1", "nan"]])
+def test_non_finite_inputs_are_usage_errors(command, argv, capsys):
+    assert main([command] + argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_kahler_rejects_zero_points(capsys):
     assert main(["kahler", "--points", "0"]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err

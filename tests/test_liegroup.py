@@ -110,6 +110,30 @@ def test_flat_connections_with_cartan_torsion():
     assert len(lg.holonomy_algebra(plus)) == 0
 
 
+def test_holonomy_and_curvature_agree_in_either_order():
+    """R is computed once per connection and shared: calling holonomy_algebra
+    first or curvature first gives the same Ricci tensors and holonomy."""
+    torsion = SU2_SLOTTED.cartan_three_form().scale(Fraction(1, 3))
+    first = lg.with_torsion(SU2_SLOTTED, torsion)
+    hol_first = lg.holonomy_algebra(first)
+    cur_first = lg.curvature(first)
+    second = lg.with_torsion(SU2_SLOTTED, torsion)
+    cur_second = lg.curvature(second)
+    hol_second = lg.holonomy_algebra(second)
+    assert cur_first.ric_nabla == cur_second.ric_nabla
+    assert cur_first.ric_g == cur_second.ric_g
+    assert cur_first.max_ric_nabla() > 0
+    assert len(hol_first) == len(hol_second) > 0
+    r = cur_first.riemann
+    assert r is first.riemann
+    n = len(r)
+    zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    for i in range(n):
+        assert r[i][i] == zero
+        for j in range(n):
+            assert r[j][i] == tuple(tuple(-x for x in row) for row in r[i][j])
+
+
 def test_levi_civita_holonomy_dimension():
     assert len(lg.holonomy_algebra(lg.levi_civita(SU2_SLOTTED))) == 3
     assert len(lg.holonomy_algebra(lg.levi_civita(lg.abelian(7)))) == 0

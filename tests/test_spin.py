@@ -48,6 +48,18 @@ def test_distinguished_spinor_is_lowest_eigenvector():
     assert linalg.matvec(op, psi0) == [Fraction(-7) * x for x in psi0]
 
 
+def test_mutating_returned_spinor_leaves_the_cache_intact():
+    from g2torsion.classifier import reference_spinors
+
+    psi0 = rep.find_psi0()
+    want = list(psi0)
+    psi0[0] = Fraction(99)
+    psi0.append(Fraction(1))
+    assert rep.find_psi0() == want
+    reference_spinors.cache_clear()
+    assert list(reference_spinors()[0]) == want
+
+
 def test_word_matches_operator_on_basis_forms():
     for idx in ((1, 2), (2, 5, 7), (1, 3, 5, 7)):
         form = Form.basis(7, *idx)
