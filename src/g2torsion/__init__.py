@@ -3,16 +3,37 @@
 The exact layer (forms, spin, g2, liegroup, classifier) works over the
 rationals; the numerical layer (coframe, liouville, bundle) provides
 finite-difference differential geometry for coordinate-dependent metrics.
+The numerical names are imported on first access, so code that uses only
+the exact layer never imports numpy or scipy.
 """
 
-from .bundle import BundleData, assemble_N5, kahler_coframe, strominger_check
-from .coframe import CoframeField, riemann_ricci
+import importlib
+
 from .forms import Form, format_form, parse_form
 from .g2 import char_torsion, project3, standard_omega3, standard_omega4
 from .liegroup import LieAlgebraData, parse_algebra, with_torsion
-from .liouville import LiouvilleSolution, solve_liouville
 from .pipeline import G2Report, run
 from .spin import OCTONION_TRIPLES, CliffordRep, standard_rep
+
+#: Numerical-layer names and the module that defines each.
+_NUMERIC = {
+    "BundleData": "bundle",
+    "assemble_N5": "bundle",
+    "kahler_coframe": "bundle",
+    "strominger_check": "bundle",
+    "CoframeField": "coframe",
+    "riemann_ricci": "coframe",
+    "LiouvilleSolution": "liouville",
+    "solve_liouville": "liouville",
+}
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        module = importlib.import_module(f".{_NUMERIC[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BundleData",

@@ -29,7 +29,7 @@ from .coframe import (CoframeField, connection_coefficients, coords_to_frame,
                       form_hodge, form_max, form_norm2, form_wedge,
                       frame_to_coords, numeric_d, riemann_ricci,
                       structure_functions, torsion_ricci)
-from .liouville import LiouvilleSolution, solve_liouville
+from .liouville import LiouvilleSolution, quintic_hermite
 
 DEFAULT_BOX = (-1.0, 1.0)
 
@@ -205,8 +205,7 @@ def _potential_spline(sol: LiouvilleSolution, a: float) -> BPoly:
     g = 2.0 * a * grid * eu
     dg = 2.0 * a * eu * (1.0 + grid * du)
     d2g = 2.0 * a * eu * (du * (1.0 + grid * du) + du + grid * d2u)
-    poly = BPoly.from_derivatives(grid, np.column_stack([g, dg, d2g]))
-    return poly.antiderivative()
+    return quintic_hermite(grid, g, dg, d2g).antiderivative()
 
 
 def assemble_N5(sol: LiouvilleSolution, points=None, box=DEFAULT_BOX,

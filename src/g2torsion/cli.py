@@ -16,6 +16,9 @@ Exit codes: 0 all checks pass, 1 a verification item failed, 2 usage or
 input-file error.  JSON output is byte-deterministic: keys sorted, exact
 rationals as "p/q" strings in lowest terms, floating-point values in
 12-significant-digit scientific notation.
+
+The numerical layer (numpy, scipy and the modules built on them) is imported
+only by the commands that solve, so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -26,16 +29,11 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import classifier, pipeline
-from .bundle import (assemble_N5, eigenvalue_multiplicity_gap, kahler_coframe,
-                     kahler_ricci_eigenvalues, strominger_check)
 from .forms import Form, parse_form
 from .g2 import project3
 from .liegroup import (abelian, curvature, parse_algebra, parallel_fields,
                        r4_su2, su2, with_torsion)
-from .liouville import solve_liouville
 from .pipeline import exact_json, form_mapping, rational_str
 from .spin import OCTONION_TRIPLES, standard_rep
 
@@ -201,6 +199,12 @@ def cmd_group_report(args):
 
 
 def cmd_kahler(args):
+    import numpy as np
+
+    from .bundle import (eigenvalue_multiplicity_gap, kahler_coframe,
+                         kahler_ricci_eigenvalues)
+    from .liouville import solve_liouville
+
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     cf = kahler_coframe(sol)
     rng = np.random.default_rng(args.seed)
@@ -229,6 +233,11 @@ def cmd_kahler(args):
 
 
 def cmd_theorem1(args):
+    import numpy as np
+
+    from .bundle import assemble_N5, strominger_check
+    from .liouville import solve_liouville
+
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     try:
         bundle = assemble_N5(sol)
@@ -346,6 +355,12 @@ def _selftest_items():
     yield "misplaced calibration detected", not bad.cocalibrated, str(
         bad.cocalibration_residual)
 
+    import numpy as np
+
+    from .bundle import (assemble_N5, kahler_coframe, kahler_ricci_eigenvalues,
+                         strominger_check)
+    from .liouville import solve_liouville
+
     sol = solve_liouville(0.5, n=400)
     cf = kahler_coframe(sol)
     pts = cf.sample_points(np.random.default_rng(1), 5)
@@ -459,8 +474,8 @@ def _check_args(args) -> None:
             raise SystemExit("error: --a must be finite")
         if not all(math.isfinite(x) for x in args.domain):
             raise SystemExit("error: --domain must be finite")
-        if args.tol <= 0:
-            raise SystemExit("error: --tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise SystemExit("error: --tol must be finite and positive")
         if args.grid < 4:
             raise SystemExit("error: --grid must be at least 4")
         if args.points < 1:

@@ -81,22 +81,23 @@ class LieAlgebraData:
         return -self.structure.get((j, i), {}).get(k, ZERO)
 
     def jacobi_holds(self):
+        """[[e_i, e_j], e_k] + cyclic = 0 for all i < j < k, summed over the
+        nonzero structure constants only."""
+        br = {}
+        for (i, j), comp in self.structure.items():
+            br[(i, j)] = comp
+            br[(j, i)] = {k: -v for k, v in comp.items()}
         n = self.n
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    for l in range(1, n + 1):
-                        s = sum(
-                            (
-                                self.c(i, j, m) * self.c(m, k, l)
-                                + self.c(j, k, m) * self.c(m, i, l)
-                                + self.c(k, i, m) * self.c(m, j, l)
-                                for m in range(1, n + 1)
-                            ),
-                            ZERO,
-                        )
-                        if s != 0:
-                            return False
+                    acc = {}
+                    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, cm in br.get((p, q), {}).items():
+                            for l, cl in br.get((m, r), {}).items():
+                                acc[l] = acc.get(l, ZERO) + cm * cl
+                    if any(acc.values()):
+                        return False
         return True
 
     def is_unimodular(self):

@@ -11,6 +11,8 @@ tolerance; a Richardson pass on a doubled grid removes the leading O(h^2)
 discretization error; and the result is packaged as a C^2 quintic Hermite
 evaluator whose second derivative at the nodes is taken from the ODE itself,
 so downstream curvature checks see a solution accurate to ~1e-10.
+quintic_hermite builds the Bernstein coefficients of such an evaluator for
+all intervals in one vectorised step.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class LiouvilleSolution:
     evaluator: BPoly = field(repr=False)
     derivative: BPoly = field(repr=False)
     second_derivative: BPoly = field(repr=False)
+    # Residual max-norm before and after each Newton step, one tuple per
+    # solve: the n-interval solve, then the doubled-grid one under Richardson.
+    trace: tuple
+    richardson_correction: float  # max-norm of the correction; 0.0 without
 
     def u(self, x):
         return self.evaluator(x)
@@ -75,7 +81,10 @@ class LiouvilleSolution:
 
 
 def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
-    """Solve the discrete system on n intervals; returns (grid, u, res, iters).
+    """Solve the discrete system on n intervals.
+
+    Returns (grid, u, res, iters, trace), trace being the residual max-norm
+    before the first and after every Newton step.
 
     Iterates until the residual reaches newton_tol or its rounding floor
     (second differences of O(1) values divided by h^2 cannot beat
@@ -155,7 +164,40 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
             f"Newton did not converge: residual {norm:.3e} after {iters} "
             f"iterations (cap {cap:.1e}); trace "
             + " -> ".join(f"{t:.2e}" for t in trace))
-    return x, ul, norm, iters
+    return x, ul, norm, iters, tuple(trace)
+
+
+def quintic_hermite(x, y, dy, d2y) -> BPoly:
+    """C^2 piecewise quintic with values y, y', y'' at the increasing nodes x.
+
+    Computes the six Bernstein coefficients of every interval at once.  The
+    arithmetic is that of BPoly.from_derivatives(x, column_stack([y, dy,
+    d2y])), operation for operation (its divisions and products by 1 are
+    exact and left out), so the coefficients agree bit for bit; only the
+    per-interval Python loop is gone.
+    """
+    x = np.asarray(x, dtype=float)
+    y, dy, d2y = (np.asarray(v, dtype=float) for v in (y, dy, d2y))
+    h = np.diff(x)
+    # libm pow, as in the scalar (xb - xa)**2 of scipy; h * h (and h ** 2 on
+    # an array, which squares) differs from it in the last bit for some h
+    h2 = np.float_power(h, 2)
+    c = np.empty((6, len(h)))
+    # walk left to right from the left node ...
+    c[0] = y[:-1]
+    c[1] = dy[:-1] / 5.0 * h
+    c[1] -= -1.0 * c[0]
+    c[2] = d2y[:-1] / 20.0 * h2
+    c[2] -= c[0]
+    c[2] -= -2.0 * c[1]
+    # ... and right to left from the right node
+    c[5] = y[1:]
+    c[4] = dy[1:] / 5.0 * -1.0 * h
+    c[4] -= -1.0 * c[5]
+    c[3] = d2y[1:] / 20.0 * h2
+    c[3] -= -2.0 * c[4]
+    c[3] -= c[5]
+    return BPoly(c, x)
 
 
 def _fourth_order_first_derivative(x, u):
@@ -186,9 +228,11 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
                           u0=float(boundary[0]), u1=float(boundary[1]), n=n,
                           newton_tol=newton_tol, richardson=richardson)
-    x, u, norm, iters = _newton_solve(cfg, cfg.n, residual_cap)
+    x, u, norm, iters, trace = _newton_solve(cfg, cfg.n, residual_cap)
+    traces, correction = (trace,), 0.0
     if cfg.richardson:
-        _, u2, norm2, iters2 = _newton_solve(cfg, 2 * cfg.n, residual_cap)
+        _, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n,
+                                                     residual_cap)
         # O(h^2) error field on the coarse nodes (which sit at even positions
         # of the fine grid); it is smooth, so a cubic spline carries the
         # Richardson correction onto all fine nodes.
@@ -199,16 +243,17 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
         values = u2[::2] + corr      # the extrapolant u2 + (u2 - u)/3
         norm = max(norm, norm2)
         iters += iters2
+        traces += (trace2,)
+        correction = float(np.max(np.abs(corr)))
     else:
         grid_eval, u_eval, values = x, u, u
     du = _fourth_order_first_derivative(grid_eval, u_eval)
     d2u = -8.0 * cfg.a ** 2 * grid_eval * np.exp(u_eval)   # ODE-consistent
-    data = np.column_stack([u_eval, du, d2u]).astype(float)
-    poly = BPoly.from_derivatives(grid_eval, data)
+    poly = quintic_hermite(grid_eval, u_eval, du, d2u)
     dpoly = poly.derivative()
     d2poly = dpoly.derivative()
     return LiouvilleSolution(cfg, x, np.asarray(values, dtype=float), norm,
-                             iters, poly, dpoly, d2poly)
+                             iters, poly, dpoly, d2poly, traces, correction)
 
 
 def refinement_orders(a, domain=(1.0, 2.0), boundary=(0.0, 0.0),

@@ -5,6 +5,10 @@ Exit convention: 0 verified, 1 a verification failed, 2 usage error
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from g2torsion.cli import main
 OMEGA3 = "+1*e127 +1*e135 -1*e146 -1*e236 -1*e245 +1*e347 +1*e567\n"
 BUNDLED_ALG = "# dimension 7\n1 2 7 -7\n1 7 2 7\n2 7 1 -7\n"
 MISPLACED_ALG = "# dimension 7\n1 2 3 -7\n1 3 2 7\n2 3 1 -7\n"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_json(capsys, argv):
@@ -253,10 +258,32 @@ def test_divergent_solve_exits_1_with_payload(command, capsys):
 
 @pytest.mark.parametrize("command", ["kahler", "theorem1"])
 @pytest.mark.parametrize("argv", [["--a", "nan"], ["--a", "inf"],
-                                  ["--domain", "1", "nan"]])
+                                  ["--domain", "1", "nan"], ["--tol", "nan"],
+                                  ["--tol", "inf"], ["--tol", "0"]])
 def test_non_finite_inputs_are_usage_errors(command, argv, capsys):
     assert main([command] + argv) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+IMPORTED_AFTER = """
+import sys
+from g2torsion.cli import main
+code = main(sys.argv[1:] + ["--format", "json"])
+print(code, "scipy" in sys.modules, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, numeric", [
+    (["lemma", "--m1", "6", "--m2", "6", "--m3", "6", "--mu", "7"], False),
+    (["kahler", "--grid", "50", "--points", "1"], True),
+])
+def test_only_solving_commands_import_scipy(argv, numeric):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_AFTER] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", str(numeric), str(numeric)]
 
 
 def test_kahler_rejects_zero_points(capsys):

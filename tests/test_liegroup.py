@@ -71,6 +71,41 @@ def test_jacobi_violation_is_rejected():
     lg.LieAlgebraData(3, bad, check_jacobi=False)  # explicit opt-out works
 
 
+def dense_jacobi_holds(alg):
+    """Reference: every component of [[e_i, e_j], e_k] + cyclic from c()."""
+    n = alg.n
+    c = alg.c
+    return all(
+        sum((c(i, j, m) * c(m, k, l) + c(j, k, m) * c(m, i, l)
+             + c(k, i, m) * c(m, j, l) for m in range(1, n + 1)), Fraction(0)) == 0
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        for k in range(j + 1, n + 1) for l in range(1, n + 1))
+
+
+def su2_structure(lam, slots):
+    a, b, c = slots
+    return {(a, b): {c: lam}, (b, c): {a: lam}, (c, a): {b: lam}}
+
+
+@pytest.mark.parametrize("n, structure", [
+    (3, su2_structure(1, (1, 2, 3))),                         # su(2)
+    (7, su2_structure(-7, (1, 2, 7))),                        # r4_su2 slots
+    (7, su2_structure(Fraction(5, 3), (4, 1, 6))),
+    (3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 2}}),    # unequal scales
+    (3, {(1, 2): {3: 1}, (1, 3): {1: 1}}),                    # violates
+    (4, {(1, 2): {3: 1}, (3, 4): {1: 1}}),                    # violates
+])
+def test_sparse_jacobi_agrees_with_dense_sum(n, structure):
+    alg = lg.LieAlgebraData(n, structure, check_jacobi=False)
+    holds = alg.jacobi_holds()
+    assert holds == dense_jacobi_holds(alg)
+    if holds:
+        assert lg.LieAlgebraData(n, structure).structure == alg.structure
+    else:
+        with pytest.raises(ValueError, match="Jacobi"):
+            lg.LieAlgebraData(n, structure)
+
+
 def test_cartan_three_form_of_su2():
     assert SU2_SLOTTED.cartan_three_form() == Form(7, {(1, 2, 3): Fraction(2)})
 

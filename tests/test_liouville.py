@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
-from g2torsion.liouville import LiouvilleConfig, refinement_orders, solve_liouville
+from g2torsion.liouville import (LiouvilleConfig, quintic_hermite,
+                                 refinement_orders, solve_liouville)
 
 RNG = np.random.default_rng(11)
 
@@ -106,3 +108,36 @@ def test_supercritical_parameter_fails_cleanly():
     with its own error instead of leaking overflow from the linear algebra."""
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_liouville(0.7)
+
+
+@pytest.mark.parametrize("nodes", [5, 3201])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_quintic_hermite_matches_scipy_bit_for_bit(nodes, uniform):
+    rng = np.random.default_rng(nodes)
+    if uniform:
+        x = np.linspace(1.0, 2.0, nodes)
+    else:
+        x = 1.0 + np.cumsum(rng.random(nodes))
+    y, dy, d2y = rng.normal(size=(3, nodes))
+    poly = quintic_hermite(x, y, dy, d2y)
+    ref = BPoly.from_derivatives(x, np.column_stack([y, dy, d2y]))
+    assert np.array_equal(poly.c, ref.c)
+    assert np.array_equal(poly.x, ref.x)
+
+
+def test_newton_trace_and_richardson_correction_are_kept():
+    sol = solve_liouville(0.5, n=100)
+    coarse, fine = sol.trace
+    for trace in (coarse, fine):
+        assert trace[0] > 1.0 and trace[-1] < 1e-10
+        # damped steps only accept a smaller residual; the long-double
+        # polish can stall at its own floor
+        assert all(b < a for a, b in zip(trace, trace[1:]) if a > 1e-6)
+    assert sol.residual_norm == max(coarse[-1], fine[-1])
+    # the correction (u_{h/2} - u_h)/3 is O(h^2): about 1e-5 at h = 1/100
+    assert 1e-8 < sol.richardson_correction < 1e-4
+    raw = solve_liouville(0.5, n=100, richardson=False)
+    assert len(raw.trace) == 1 and raw.richardson_correction == 0.0
+    # the extrapolant u_h + 4 (u_{h/2} - u_h)/3 moves the raw nodes by 4 corr
+    assert np.max(np.abs(sol.values - raw.values)) == pytest.approx(
+        4 * sol.richardson_correction, rel=1e-6)
