@@ -640,10 +640,7 @@ def omega_form_identities(torsion, mu):
     report["torsion_reconstruct"] = torsion == theta3.wedge(eta)
     report["eta_squared_zero"] = eta.wedge(eta).is_zero()
     # kernel distribution of T inside the 5-frame
-    kernel = [
-        v for v in _torsion_kernel_vectors(torsion)
-    ]
-    report["kernel_dim"] = len(kernel)
+    report["kernel_dim"] = len(_torsion_kernel_vectors(torsion))
     # Ricci eigenvalues on the 5-frame
     ric = ric_from_torsion(torsion)
     five = [i - 1 for i in F_TO_E]

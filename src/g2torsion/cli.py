@@ -72,7 +72,7 @@ def emit(payload: dict, args) -> None:
     if args.fmt == "json":
         print(text)
     else:
-        print("\n".join(line for line in _render_text(payload) if line is not None))
+        print("\n".join(_render_text(payload)))
 
 
 # ------------------------------------------------------------ subcommands

@@ -30,7 +30,7 @@ from functools import cached_property
 from . import linalg
 from .forms import Form
 from .linalg import frac, rational_str
-from .spin import DIM_SPINOR, standard_rep
+from .spin import standard_rep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -254,18 +254,18 @@ class InvariantConnection:
         return endo_derivation(self.matrix(i), form).scale(-1)
 
     def parallel_spinors(self):
-        """Basis of constant spinors with nabla psi = 0 (dimension 7)."""
+        """Basis of constant spinors with nabla psi = 0 (dimension 7).
+
+        The spin lift of nabla_{e_i} is Clifford multiplication by the
+        2-form 1/2 sum_{k<l} Gamma_{ikl} e_kl; the parallel spinors are the
+        common kernel of the seven stacked operators.
+        """
         rep = standard_rep()
         rows = []
-        for i in range(1, 8):
-            m = linalg.zeros(DIM_SPINOR, DIM_SPINOR)
-            g = self.gamma[i - 1]
-            for k in range(1, 8):
-                for l in range(k + 1, 8):
-                    coeff = g[k - 1][l - 1]
-                    if coeff:
-                        m = linalg.mat_add(m, linalg.mat_scale(HALF * coeff, rep.word((k, l))))
-            rows.extend(m)
+        for g in self.gamma:
+            two_form = Form(7, {(k + 1, l + 1): HALF * g[k][l]
+                                for k in range(7) for l in range(k + 1, 7)})
+            rows.extend(rep.operator(two_form))
         return linalg.nullspace(rows)
 
     # ---------------- curvature ----------------
@@ -315,50 +315,29 @@ class CurvatureData:
 
 
 def levi_civita(algebra):
-    """Koszul formula for the orthonormal-frame Levi-Civita connection."""
-    n = algebra.n
-    gamma = [
-        [
-            [
-                HALF
-                * (
-                    algebra.c(i, j, k)
-                    - algebra.c(j, k, i)
-                    + algebra.c(k, i, j)
-                )
-                for k in range(1, n + 1)
-            ]
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    conn = InvariantConnection(algebra, _freeze(gamma), Form.zero(n))
-    return conn
+    """The Levi-Civita connection: the torsion-free case of with_torsion."""
+    return with_torsion(algebra, Form.zero(algebra.n))
 
 
 def with_torsion(algebra, torsion):
-    """The metric connection nabla = nabla^g + 1/2 T(X, Y, -)."""
+    """The metric connection nabla = nabla^g + 1/2 T(X, Y, -).
+
+    Koszul formula with skew torsion in the orthonormal frame:
+    Gamma_{ijk} = 1/2 (c^k_{ij} - c^i_{jk} + c^j_{ki} + T_{ijk}).
+    """
     if torsion.degrees() not in ([], [3]):
         raise ValueError("torsion must be a 3-form")
     if torsion.n != algebra.n:
         raise ValueError("torsion frame dimension does not match the algebra")
-    base = levi_civita(algebra)
-    n = algebra.n
-    gamma = [
-        [
-            [
-                base.gamma[i][j][k] + HALF * torsion[(i + 1, j + 1, k + 1)]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return InvariantConnection(algebra, _freeze(gamma), torsion)
-
-
-def _freeze(gamma):
-    return tuple(tuple(tuple(row) for row in plane) for plane in gamma)
+    c = algebra.c
+    r = range(1, algebra.n + 1)
+    gamma = tuple(
+        tuple(
+            tuple(HALF * (c(i, j, k) - c(j, k, i) + c(k, i, j) + torsion[(i, j, k)])
+                  for k in r)
+            for j in r)
+        for i in r)
+    return InvariantConnection(algebra, gamma, torsion)
 
 
 def _ricci(riemann):
@@ -480,27 +459,30 @@ def endo_derivation(m, form):
     return out
 
 
-def integrability_residual(conn, psi):
+def integrability_residual(conn, spinors):
     """The three parallel-spinor integrability residuals for a torsion connection.
 
-    Returns (per_direction, r_sigma, r_square) where per_direction[i] is the
-    spinor ((e_i hook dT) + 2 nabla_{e_i} T) . psi, r_sigma = (3 dT - 2 sigma_T) . psi
-    and r_square = T^2 psi - |T|^2 psi.
+    Returns one triple (per_direction, r_sigma, r_square) per spinor psi, in
+    the order given, where per_direction[i] is the spinor
+    ((e_i hook dT) + 2 nabla_{e_i} T) . psi, r_sigma = (3 dT - 2 sigma_T) . psi
+    and r_square = T^2 psi - |T|^2 psi.  dT and the nine operators (seven per
+    direction, sigma and T) depend only on the connection and are built once.
     """
     if conn.n != 7:
         raise ValueError("integrability residuals require dimension 7")
     rep = standard_rep()
     t = conn.torsion
     dt = conn.algebra.ce_d(t)
-    per_direction = []
-    for i in range(1, 8):
-        four_form = dt.hook_basis(i) + conn.nabla_form(i, t).scale(2)
-        per_direction.append(rep.act(four_form, psi))
-    r_sigma = rep.act(dt.scale(3) - t.sigma().scale(2), psi)
-    op = rep.operator(t)
-    tt = linalg.matvec(op, linalg.matvec(op, psi))
-    r_square = [a - t.norm2() * b for a, b in zip(tt, psi)]
-    return per_direction, r_sigma, r_square
+    per_ops = [rep.operator(dt.hook_basis(i) + conn.nabla_form(i, t).scale(2))
+               for i in range(1, 8)]
+    sigma_op = rep.operator(dt.scale(3) - t.sigma().scale(2))
+    t_op = rep.operator(t)
+    square_op = linalg.mat_sub(linalg.matmul(t_op, t_op),
+                               linalg.mat_scale(t.norm2(), linalg.identity(8)))
+    return [([linalg.matvec(op, psi) for op in per_ops],
+             linalg.matvec(sigma_op, psi),
+             linalg.matvec(square_op, psi))
+            for psi in spinors]
 
 
 # ---------------- constructors ----------------

@@ -264,13 +264,9 @@ def run(algebra: LieAlgebraData, placement=None) -> G2Report:
         flows_ok = all(algebra.lie_derivative(v, t).is_zero() for v in kernel)
         report.add("parallel flows preserve T", flows_ok)
     if spinors:
-        resid_ok = True
-        for psi in spinors:
-            per_dir, r_sigma, r_square = integrability_residual(conn, psi)
-            if (any(any(x != 0 for x in r) for r in per_dir)
-                    or any(x != 0 for x in r_sigma)
-                    or any(x != 0 for x in r_square)):
-                resid_ok = False
+        resid_ok = all(not any(r) for per_dir, r_sigma, r_square
+                       in integrability_residual(conn, spinors)
+                       for r in (*per_dir, r_sigma, r_square))
         report.add("parallel-spinor integrability residuals vanish",
                    resid_ok, f"{len(spinors)} spinors")
 

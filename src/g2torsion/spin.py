@@ -89,7 +89,6 @@ def _clifford_relations_hold(gammas):
 class Eigenvalue:
     value: Fraction
     multiplicity: int
-    error_bound: float = 0.0
 
 
 class CliffordRep:
@@ -152,7 +151,7 @@ class CliffordRep:
         roots, split = linalg.eigenvalues_exact(self.operator(form))
         if not split:
             raise RuntimeError("characteristic polynomial does not split over Q")
-        return [Eigenvalue(lam, mult, 0.0) for lam, mult in roots]
+        return [Eigenvalue(lam, mult) for lam, mult in roots]
 
     def find_psi0(self):
         """The distinguished unit-direction spinor: it spans the -7

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2torsion import liegroup as lg
+from g2torsion import linalg
 from g2torsion.forms import Form, format_form
 from g2torsion.g2 import char_torsion, standard_omega3, standard_omega4
+from g2torsion.spin import standard_rep
 
 from .util import forms
 
@@ -214,11 +216,78 @@ def test_parallel_spinors_satisfy_integrability():
     dec = char_torsion(BUNDLED.ce_d(standard_omega3()))
     conn = lg.with_torsion(BUNDLED, dec.torsion)
     zero8 = [Fraction(0)] * 8
-    for psi in conn.parallel_spinors():
-        per_direction, r_sigma, r_square = lg.integrability_residual(conn, psi)
+    spinors = conn.parallel_spinors()
+    for per_direction, r_sigma, r_square in lg.integrability_residual(conn, spinors):
         assert all(r == zero8 for r in per_direction)
         assert r_sigma == zero8
         assert r_square == zero8
+
+
+def word_spin_lift_kernel(conn):
+    """Reference: nabla_{e_i} lifted to spinors as 1/2 sum_{k<l} Gamma_{ikl}
+    gamma_k gamma_l, summed word by word; kernel of the seven stacked lifts."""
+    rep = standard_rep()
+    rows = []
+    for i in range(1, 8):
+        m = linalg.zeros(8, 8)
+        g = conn.gamma[i - 1]
+        for k in range(1, 8):
+            for l in range(k + 1, 8):
+                coeff = g[k - 1][l - 1]
+                if coeff:
+                    m = linalg.mat_add(
+                        m, linalg.mat_scale(Fraction(1, 2) * coeff, rep.word((k, l))))
+        rows.extend(m)
+    return linalg.nullspace(rows)
+
+
+CARTAN = SU2_SLOTTED.cartan_three_form()
+#: e_7 rotates the planes e_12 and e_34; nabla_{e_7} is the only nonzero
+#: Levi-Civita matrix, and its spin lift has a 4-dimensional kernel.
+ROTATION = lg.LieAlgebraData(7, {(7, 1): {2: 1}, (7, 2): {1: -1},
+                                 (7, 3): {4: 1}, (7, 4): {3: -1}})
+
+
+@pytest.mark.parametrize("conn, dim", [
+    (lg.levi_civita(SU2_SLOTTED), 0),
+    (lg.with_torsion(SU2_SLOTTED, CARTAN.scale(-1)), 8),
+    (lg.with_torsion(SU2_SLOTTED, CARTAN), 0),
+    (lg.with_torsion(SU2_SLOTTED, CARTAN.scale(Fraction(1, 3))), 0),
+    (lg.with_torsion(BUNDLED, char_torsion(BUNDLED.ce_d(standard_omega3())).torsion), 8),
+    (lg.levi_civita(ROTATION), 4),
+])
+def test_parallel_spinors_match_word_by_word_spin_lift(conn, dim):
+    kernel = conn.parallel_spinors()
+    assert kernel == word_spin_lift_kernel(conn)
+    assert len(kernel) == dim
+
+
+def residual_of_one(conn, psi):
+    """Reference: the three residuals of one spinor, each operator applied
+    through CliffordRep.act."""
+    rep = standard_rep()
+    t = conn.torsion
+    dt = conn.algebra.ce_d(t)
+    per_direction = [rep.act(dt.hook_basis(i) + conn.nabla_form(i, t).scale(2), psi)
+                     for i in range(1, 8)]
+    r_sigma = rep.act(dt.scale(3) - t.sigma().scale(2), psi)
+    tt = rep.act(t, rep.act(t, psi))
+    return per_direction, r_sigma, [a - t.norm2() * b for a, b in zip(tt, psi)]
+
+
+def test_integrability_residual_is_one_triple_per_spinor_in_order():
+    """Under torsion omega3 on the bundled algebra no basis spinor is
+    parallel: every triple is nonzero, so an operator that is always zero
+    cannot pass, and the triples follow the input order."""
+    conn = lg.with_torsion(BUNDLED, standard_omega3())
+    basis = [[Fraction(int(a == b)) for a in range(8)] for b in range(8)]
+    got = lg.integrability_residual(conn, basis)
+    assert len(got) == 8
+    for psi, (per_direction, r_sigma, r_square) in zip(basis, got):
+        assert (per_direction, r_sigma, r_square) == residual_of_one(conn, psi)
+        assert any(any(r) for r in (*per_direction, r_sigma, r_square))
+    assert lg.integrability_residual(conn, basis[::-1]) == got[::-1]
+    assert lg.integrability_residual(conn, []) == []
 
 
 def test_parallel_fields_preserve_torsion():

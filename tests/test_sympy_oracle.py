@@ -1,0 +1,99 @@
+"""Exact linear algebra against sympy as an independent oracle.
+
+Characteristic polynomials, rational roots (with multiplicities and the
+split flag) and kernels are compared on seeded random small rational
+matrices.  sympy is a test-only dependency; without it the module skips.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from g2torsion import linalg
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+SEEDS = range(40)
+
+
+def random_matrix(rng, rows, cols):
+    """Small rationals, about a third of them zero so that ranks drop."""
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.65
+             else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in m])
+
+
+def to_fraction(q):
+    q = sympy.Rational(q)
+    return Fraction(int(q.p), int(q.q))
+
+
+def sympy_rational_roots(coeffs):
+    """(sorted [(root, multiplicity)], split) from sympy's factorization over Q."""
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
+                      X, domain="QQ")
+    roots, split = [], True
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            roots.append((to_fraction(-b / a), mult))
+        else:
+            split = False
+    return sorted(roots), split
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_matches_sympy(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    m = random_matrix(rng, n, n)
+    want = [to_fraction(c) for c in to_sympy(m).charpoly(X).all_coeffs()]
+    assert linalg.charpoly(m) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rational_roots_of_charpoly_match_sympy(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    coeffs = linalg.charpoly(random_matrix(rng, n, n))
+    assert linalg.rational_roots(coeffs) == sympy_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rational_roots_of_built_polynomials_match_sympy(seed):
+    """Products of chosen linear factors (repeats allowed), sometimes times
+    x^2 + 1 or x^2 - 2, so both split and non-split cases occur."""
+    rng = random.Random(seed)
+    poly = sympy.Poly(rng.randint(1, 4), X, domain="QQ")
+    for _ in range(rng.randint(0, 4)):
+        r = sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4))
+        poly *= sympy.Poly(X - r, X, domain="QQ")
+    extra = rng.choice([None, X**2 + 1, X**2 - 2])
+    if extra is not None:
+        poly *= sympy.Poly(extra, X, domain="QQ")
+    coeffs = [to_fraction(c) for c in poly.all_coeffs()]
+    assert linalg.rational_roots(coeffs) == sympy_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_matches_sympy(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    m = random_matrix(rng, rows, cols)
+    ours = linalg.nullspace(m)
+    theirs = to_sympy(m).nullspace()
+    rank = to_sympy(m).rank()
+    assert len(ours) == len(theirs) == cols - rank
+    for v in ours:
+        assert linalg.matvec(m, v) == [Fraction(0)] * rows
+    if ours:
+        ours_m = to_sympy(ours)
+        theirs_m = sympy.Matrix.hstack(*theirs).T
+        assert ours_m.rank() == len(ours)
+        assert sympy.Matrix.vstack(ours_m, theirs_m).rank() == len(ours)
