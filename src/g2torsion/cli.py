@@ -34,6 +34,7 @@ from .forms import Form, parse_form
 from .g2 import project3
 from .liegroup import (abelian, curvature, parse_algebra, parallel_fields,
                        r4_su2, su2, with_torsion)
+from .linalg import parse_rational
 from .pipeline import exact_json, form_mapping, rational_str
 from .spin import OCTONION_TRIPLES, standard_rep
 
@@ -235,7 +236,7 @@ def cmd_kahler(args):
 def cmd_theorem1(args):
     import numpy as np
 
-    from .bundle import assemble_N5, strominger_check
+    from .bundle import TORSION_NORM_TOL, assemble_N5, strominger_check
     from .liouville import solve_liouville
 
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
@@ -248,12 +249,7 @@ def cmd_theorem1(args):
     rng = np.random.default_rng(args.seed)
     points = bundle.total.sample_points(rng, args.points)
     rep = strominger_check(bundle, points)
-    residuals = rep.residual_items()
-    norm_ok = rep.torsion_norm_residual <= 1e-8
-    others_ok = all(v <= args.tol for k, v in residuals.items()
-                    if k != "torsion_norm")
-    curved = args.a == 0.0 or rep.max_r_nabla > 0.01
-    passed = norm_ok and others_ok and curved
+    passed = rep.passed(args.tol)
     panel = bundle.panel
     payload = {
         "command": "theorem1",
@@ -271,11 +267,11 @@ def cmd_theorem1(args):
             "ricci_deviation": sci(panel.ricci_deviation),
             "potential_residual": sci(panel.potential_residual),
         },
-        "residuals": {k: sci(v) for k, v in residuals.items()},
+        "residuals": {k: sci(v) for k, v in rep.residual_items().items()},
         "max_r_nabla": sci(rep.max_r_nabla),
-        "non_flat": curved,
+        "non_flat": rep.non_flat,
         "tolerance": sci(args.tol),
-        "torsion_norm_tolerance": sci(1e-8),
+        "torsion_norm_tolerance": sci(TORSION_NORM_TOL),
         "passed": passed,
     }
     return payload, passed
@@ -371,11 +367,8 @@ def _selftest_items():
     bundle = assemble_N5(sol)
     srep = strominger_check(bundle, bundle.total.sample_points(
         np.random.default_rng(2), 5))
-    res = srep.residual_items()
-    ok = (res["torsion_norm"] <= 1e-8
-          and all(v <= 1e-6 for k, v in res.items() if k != "torsion_norm")
-          and srep.max_r_nabla > 0.01)
-    yield "bundle residual panel", ok, f"max residual {max(res.values()):.2e}"
+    yield ("bundle residual panel", srep.passed(1e-6),
+           f"max residual {max(srep.residual_items().values()):.2e}")
 
 
 def cmd_selftest(args):
@@ -393,9 +386,9 @@ def cmd_selftest(args):
 
 def _fraction(text):
     try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError("zero denominator") from exc
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser():

@@ -8,124 +8,89 @@ Levi-Civita coefficients come from the orthonormal-frame Koszul formula, and
 curvature follows from the frame version of R(X,Y) = [nabla_X, nabla_Y] -
 nabla_[X,Y], with directional derivatives taken by central finite differences.
 
-All heavy functions accept an optional frame-constant torsion (a dict of
-3-form components in the orthonormal frame); when given, the connection is
-the metric connection with that skew torsion, nabla = nabla^g + 1/2 T.
+All heavy functions accept an optional frame-constant torsion, a 3-form in
+the orthonormal frame; when given, the connection is the metric connection
+with that skew torsion, nabla = nabla^g + 1/2 T.
+
+A float k-form on an n-frame, in frame or coordinate components, is a numpy
+vector over ``forms.basis_indices(n, k)``; a change of basis acts on it by
+the k-th compound matrix, wedge, Hodge star and d by a signed incidence table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
 
-from .forms import perm_sign, sort_index
+from .forms import basis_indices, perm_sign, sort_index
 
 Array = np.ndarray
 
 
 # ------------------------------------------------------------ float forms
 
-# A float k-form on an n-frame is a plain dict {increasing 1-based tuple:
-# float}; missing keys are zero.  These helpers mirror the exact Form class
-# for numeric work.
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, k: int, l: int):
+    """e_I ^ e_J = sign e_K as positions (I, J, K) in basis_indices and a
+    sign, one entry per nonzero product, in lexicographic (I, J) order."""
+    out_pos = {idx: q for q, idx in enumerate(basis_indices(n, k + l))}
+    rows = []
+    for i, ia in enumerate(basis_indices(n, k)):
+        for j, ib in enumerate(basis_indices(n, l)):
+            idx, sign = sort_index(ia + ib)
+            if sign:
+                rows.append((i, j, out_pos[idx], sign))
+    table = np.array(rows, dtype=np.intp).T
+    table.setflags(write=False)
+    return tuple(table)
 
 
-def form_add(a, b, scale=1.0):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + scale * v
-    return out
+def compound(a: Array, k: int) -> Array:
+    """k-th compound matrix: C[I, J] = det a[I, J] over basis_indices(n, k)."""
+    pos = np.array(basis_indices(a.shape[0], k), dtype=np.intp) - 1
+    return np.linalg.det(a[pos[:, None, :, None], pos[None, :, None, :]])
 
 
-def form_wedge(a, b):
-    out = {}
-    for ia, va in a.items():
-        for ib, vb in b.items():
-            idx, s = sort_index(ia + ib)
-            if s:
-                out[idx] = out.get(idx, 0.0) + s * va * vb
-    return out
+def form_wedge(a: Array, b: Array, n: int, k: int, l: int) -> Array:
+    """Wedge product of a k-form and an l-form on an n-frame."""
+    left, right, out, sign = _wedge_table(n, k, l)
+    return np.bincount(out, weights=sign * a[left] * b[right],
+                       minlength=math.comb(n, k + l))
 
 
-def form_inner(a, b):
-    keys = set(a) | set(b)
-    return sum(a.get(k, 0.0) * b.get(k, 0.0) for k in keys)
+def form_hodge(a: Array, n: int, k: int) -> Array:
+    """Hodge star of a k-form on an oriented orthonormal n-frame."""
+    left, right, _, sign = _wedge_table(n, k, n - k)
+    return np.bincount(right, weights=sign * a[left], minlength=math.comb(n, n - k))
 
 
-def form_norm2(a):
-    return form_inner(a, a)
+def frame_to_coords(components: Array, a_matrix: Array, k: int) -> Array:
+    """Rewrite a frame k-form in the coordinate basis: f^I = det A[I,J] dx^J."""
+    return components @ compound(a_matrix, k)
 
 
-def form_max(a):
-    return max((abs(v) for v in a.values()), default=0.0)
-
-
-def form_hook(a, slot):
-    """Interior product with the orthonormal frame vector e_slot."""
-    out = {}
-    for idx, v in a.items():
-        if slot in idx:
-            pos = idx.index(slot)
-            rest = idx[:pos] + idx[pos + 1:]
-            out[rest] = out.get(rest, 0.0) + ((-1) ** pos) * v
-    return out
-
-
-def form_hodge(a, n):
-    """Hodge star on an oriented orthonormal n-frame."""
-    out = {}
-    full = tuple(range(1, n + 1))
-    for idx, v in a.items():
-        comp = tuple(i for i in full if i not in idx)
-        s = perm_sign(idx + comp)
-        out[comp] = out.get(comp, 0.0) + s * v
-    return out
-
-
-def frame_to_coords(components, a_matrix):
-    """Rewrite frame components in the coordinate basis: f^I = det A[I,J] dx^J."""
-    n = a_matrix.shape[0]
-    out = {}
-    for idx, v in components.items():
-        if abs(v) < 1e-300:
-            continue
-        rows = [i - 1 for i in idx]
-        for cols in combinations(range(n), len(idx)):
-            minor = np.linalg.det(a_matrix[np.ix_(rows, cols)]) if idx else 1.0
-            if minor:
-                key = tuple(c + 1 for c in cols)
-                out[key] = out.get(key, 0.0) + v * minor
-    return out
-
-
-def coords_to_frame(components, a_matrix):
+def coords_to_frame(components: Array, a_matrix: Array, k: int) -> Array:
     """Inverse of frame_to_coords: dx^J = det A^{-1}[J,I] f^I."""
-    return frame_to_coords(components, np.linalg.inv(a_matrix))
+    return frame_to_coords(components, np.linalg.inv(a_matrix), k)
 
 
-def numeric_d(form_fn: Callable[[Array], dict], n: int, k: int, p: Array,
-              h: float = 1e-5):
-    """Exterior derivative of a coordinate k-form field by central FD."""
-    partials = []
-    for beta in range(n):
-        pp, pm = p.copy(), p.copy()
-        pp[beta] += h
-        pm[beta] -= h
-        fp, fm = form_fn(pp), form_fn(pm)
-        keys = set(fp) | set(fm)
-        partials.append({key: (fp.get(key, 0.0) - fm.get(key, 0.0)) / (2 * h)
-                         for key in keys})
-    out = {}
-    for beta in range(n):
-        for idx, v in partials[beta].items():
-            key, s = sort_index((beta + 1,) + idx)
-            if s:
-                out[key] = out.get(key, 0.0) + s * v
-    return {key: v for key, v in out.items() if v != 0.0}
+def numeric_d(form_fn: Callable[[Array], Array], n: int, k: int, p: Array,
+              h: float = 1e-5) -> Array:
+    """Exterior derivative of a coordinate k-form field by central FD.
+
+    d alpha = sum_beta dx^beta ^ (d alpha / dx^beta), summed in ascending beta.
+    """
+    partials = np.array([(form_fn(p + step) - form_fn(p - step)) / (2 * h)
+                         for step in h * np.eye(n)])
+    left, right, out, sign = _wedge_table(n, 1, k)
+    return np.bincount(out, weights=sign * partials[left, right],
+                       minlength=math.comb(n, k + 1))
 
 
 # ------------------------------------------------------------ coframes
@@ -203,20 +168,21 @@ def levi_civita_cartan(c: Array) -> Array:
 
 
 def connection_coefficients(cf: CoframeField, p: Array,
-                            torsion: dict | None = None) -> Array:
+                            torsion: Array | None = None) -> Array:
     """gamma of the metric connection with optional frame-constant skew torsion."""
     gamma = levi_civita_cartan(structure_functions(cf, p))
-    if torsion:
+    if torsion is not None:
         gamma = gamma + 0.5 * _skew_tensor(torsion, cf.n)
     return gamma
 
 
-def _skew_tensor(torsion: dict, n: int) -> Array:
-    """Dense t[i, j, k] = T(e_i, e_j, e_k) of a float 3-form {(i, j, k): v}."""
+def _skew_tensor(torsion: Array, n: int) -> Array:
+    """Dense t[i, j, k] = T(e_i, e_j, e_k) of a float 3-form on an n-frame."""
     t = np.zeros((n, n, n))
-    for idx, v in torsion.items():
-        for perm in permutations(range(len(idx))):
-            t[tuple(idx[q] - 1 for q in perm)] = perm_sign(perm) * v
+    for idx, v in zip(basis_indices(n, 3), torsion):
+        if v:
+            for perm in permutations(idx):
+                t[tuple(i - 1 for i in perm)] = perm_sign(perm) * v
     return t
 
 
@@ -237,7 +203,7 @@ class CurvatureReport:
         return float(np.max(np.abs(self.ric)))
 
 
-def riemann_ricci(cf: CoframeField, p: Array, torsion: dict | None = None,
+def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
                   h: float | None = None, symmetry_tol: float = 1e-6) -> CurvatureReport:
     """Curvature, Ricci tensor and Ricci eigenvalues at an interior point.
 
@@ -282,7 +248,7 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: dict | None = None,
     return CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
 
 
-def torsion_ricci(torsion: dict, n: int) -> Array:
+def torsion_ricci(torsion: Array, n: int) -> Array:
     """(1/4) sum_{i,j} T(x, e_i, e_j) T(y, e_i, e_j) for frame-constant T."""
     t = _skew_tensor(torsion, n)
     return 0.25 * np.einsum("xij,yij->xy", t, t)

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import frac, rational_str
+from .linalg import frac, parse_rational, rational_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -355,8 +355,8 @@ def _parse_term(tok):
     else:
         cpart, epart = tok, ""
     try:
-        coeff = Fraction(cpart) if cpart else ONE
-    except (ValueError, ZeroDivisionError) as exc:
+        coeff = parse_rational(cpart) if cpart else ONE
+    except ValueError as exc:
         raise ValueError(f"cannot parse coefficient {cpart!r}: {exc}") from exc
     if epart in ("", "1"):
         idx = ()
@@ -364,7 +364,7 @@ def _parse_term(tok):
         if not epart.startswith("e"):
             raise ValueError(f"cannot parse term {tok!r}")
         digits = epart[1:]
-        if not digits.isdigit():
+        if not re.fullmatch(r"[0-9]+", digits):
             raise ValueError(f"cannot parse index block {epart!r}")
         idx = tuple(int(d) for d in digits)
         if len(set(idx)) != len(idx):

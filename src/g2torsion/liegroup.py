@@ -29,7 +29,7 @@ from functools import cached_property
 
 from . import linalg
 from .forms import Form
-from .linalg import frac, rational_str
+from .linalg import frac, parse_rational, rational_str
 from .spin import standard_rep
 
 ZERO = Fraction(0)
@@ -529,7 +529,7 @@ def parse_algebra(text, n=None):
 
     A '# dimension N' comment fixes the frame dimension; otherwise it is
     inferred as the largest index seen.  An explicit n argument must agree
-    with the header when both are given.
+    with the header when both are given.  Indices and N are ASCII digits.
     """
     entries = {}
     max_idx = 0
@@ -537,8 +537,11 @@ def parse_algebra(text, n=None):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         comment = raw.split("#", 1)
         if len(comment) == 2:
-            m = re.match(r"\s*dimension\s+(\d+)\s*$", comment[1])
+            m = re.match(r"\s*dimension\s+(\S+)\s*$", comment[1])
             if m:
+                if not re.fullmatch(r"[0-9]+", m.group(1)):
+                    raise ValueError(f"line {lineno}: dimension {m.group(1)!r} "
+                                     "is not ASCII digits")
                 header_n, header_line = int(m.group(1)), lineno
         line = comment[0].strip()
         if not line:
@@ -547,9 +550,11 @@ def parse_algebra(text, n=None):
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'i j k value', got {raw!r}")
         try:
+            if not all(re.fullmatch(r"[0-9]+", p) for p in parts[:3]):
+                raise ValueError(f"indices {parts[:3]} are not ASCII digits")
             i, j, k = (int(p) for p in parts[:3])
-            v = frac(parts[3])
-        except (ValueError, ZeroDivisionError) as exc:
+            v = parse_rational(parts[3])
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if i == j:
             raise ValueError(f"line {lineno}: c^k_(ii) must vanish")

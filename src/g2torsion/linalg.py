@@ -8,11 +8,32 @@ exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: Largest decimal exponent in rational text: Fraction('1eN') builds 10**N.
+MAX_EXPONENT = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read an exact rational ('3', '-3/2', '1.25', '5e-3') from ASCII text.
+
+    Raises ValueError on a non-ASCII character or '_', a decimal exponent
+    beyond MAX_EXPONENT in size, a zero denominator and other bad text.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"non-ASCII character or '_' in {text!r}")
+    exp = re.search(r"[eE][+-]?0*([0-9]{0,5})", text)   # 5 digits exceed the bound
+    if exp and int(exp[1] or 0) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent in {text!r} exceeds {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def frac(x) -> Fraction:
@@ -21,7 +42,7 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

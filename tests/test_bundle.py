@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from g2torsion import bundle as bd
+from g2torsion.forms import basis_indices
 from g2torsion.liouville import solve_liouville
 
 A = 0.5
@@ -62,7 +63,9 @@ def test_assemble_rejects_tampered_solution():
 def test_bundle_assembly_and_potential():
     data = bd.assemble_N5(SOL)
     assert data.mu == 2 * A
-    assert data.torsion == {(1, 2, 5): 2 * A}
+    want = np.zeros(10)
+    want[basis_indices(5, 3).index((1, 2, 5))] = 2 * A
+    assert np.array_equal(data.torsion, want)
     assert data.panel.passed
     # Q(x0) = 0 (integration starts at the left edge) and dQ/dx = 2 a x e^u
     x0 = SOL.config.x0
@@ -95,9 +98,25 @@ def test_strominger_conclusions():
                  "ric_nabla", "oneill", "scal", "ricci_eigen"):
         assert items[name] < 1e-6, (name, items[name])
     assert report.max_r_nabla > 0.01          # Ricci-flat but NOT flat
+    assert report.non_flat and report.passed(1e-6)
     mu2 = (2 * A) ** 2
     target = np.array([0.0, 0.0, mu2 / 2, mu2 / 2, mu2 / 2])
     assert np.max(np.abs(np.sort(report.ricci_eigenvalues, axis=-1) - target)) < 1e-6
+
+
+def test_theorem1_verdict_holds_torsion_norm_to_its_own_bound():
+    ok = bd.StromingerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.zeros((1, 5)),
+                             0.0, 1.0, 1, True)
+
+    def passes(**change):
+        return dataclasses.replace(ok, **change).passed(1e-6)
+
+    assert passes()
+    assert passes(torsion_norm_residual=0.5 * bd.TORSION_NORM_TOL)
+    assert not passes(torsion_norm_residual=2 * bd.TORSION_NORM_TOL)
+    assert passes(oneill=0.5e-6)
+    assert not passes(oneill=2e-6)
+    assert not passes(non_flat=False)
 
 
 def test_degenerate_case_at_zero_parameter():
@@ -107,8 +126,9 @@ def test_degenerate_case_at_zero_parameter():
     Ricci-flat for the plain Levi-Civita connection, yet visibly curved."""
     sol0 = solve_liouville(0.0)
     data = bd.assemble_N5(sol0)
-    assert data.torsion == {}
+    assert not data.torsion.any()
     report = bd.strominger_check(data, rng=np.random.default_rng(9))
     assert max(report.residual_items().values()) < 1e-6
     assert np.max(np.abs(report.ricci_eigenvalues)) < 1e-7
     assert report.max_r_nabla > 0.01
+    assert report.non_flat

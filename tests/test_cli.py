@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,15 @@ def test_values_zero_scale(capsys):
 def test_values_rejects_zero_denominator(capsys):
     with pytest.raises(SystemExit):
         main(["values", "--mu", "1/0"])
+
+
+def test_values_rejects_huge_exponent_promptly(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["values", "--mu=1e999999999"])
+    assert exc.value.code == 2
+    assert "decimal exponent in '1e999999999' exceeds" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------ kernels/det

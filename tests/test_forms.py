@@ -159,6 +159,16 @@ def test_parse_form_rejects_sign_without_term(text, column):
         parse_form(text, 4)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("٣*e١٢٧", "column 1: cannot parse coefficient .*non-ASCII"),
+    ("3*e١٢٧", "column 1: cannot parse index block"),
+    ("e12 + 1e999999999*e34", "column 5: cannot parse coefficient .*exponent"),
+])
+def test_parse_form_rejects_non_ascii_digits_and_huge_exponents(text, message):
+    with pytest.raises(ValueError, match=f"line 1, {message}"):
+        parse_form(text, 7)
+
+
 def test_form_vector_roundtrip():
     idx = basis_indices(7, 3)
     t = Form(7, {(1, 2, 7): Fraction(3, 2), (3, 4, 7): Fraction(-1)})

@@ -317,6 +317,17 @@ def test_serialization_roundtrip():
         assert again.structure == alg.structure
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# dimension ７\n1 2 7 -7\n", "line 1: dimension '７'"),
+    ("# dimension 7\n١ ٢ ٧ -٧\n", "line 2: indices .* not ASCII"),
+    ("1 2 7 -٧\n", "line 1: non-ASCII"),
+    ("1 2 7 1e999999999\n", "line 1: decimal exponent"),
+])
+def test_parse_algebra_rejects_non_ascii_digits_and_huge_exponents(text, message):
+    with pytest.raises(ValueError, match=message):
+        lg.parse_algebra(text)
+
+
 def test_parse_algebra_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         lg.parse_algebra("1 2 3 1\n1 3 oops\n")

@@ -126,3 +126,30 @@ def test_solve_affine_parameterizes_all_solutions():
     assert len(directions) == 1
     for d in directions:
         assert all(x == 0 for x in linalg.matvec(a, d))
+
+
+BOUND = linalg.MAX_EXPONENT
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-3/2", Fraction(-3, 2)),
+    (" 1.25 ", Fraction(5, 4)),
+    (f"1e{BOUND}", Fraction(10**BOUND)),
+    (f"2E-000{BOUND}", Fraction(2, 10**BOUND)),
+])
+def test_parse_rational_reads_decimals_up_to_the_exponent_bound(text, want):
+    assert linalg.parse_rational(text) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"1e{BOUND + 1}", "exponent"),
+    (f"1e-{BOUND + 1}", "exponent"),
+    ("1e" + "9" * 5000, "exponent"),
+    ("٣/٧", "non-ASCII"),
+    ("３", "non-ASCII"),
+    ("1/0", "zero denominator"),
+    ("1/", "Invalid literal"),
+])
+def test_parse_rational_fails_closed(text, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.parse_rational(text)
