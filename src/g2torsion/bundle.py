@@ -341,7 +341,7 @@ def strominger_check(bundle: BundleData, points=None, h: float = 1e-5,
         tn = max(tn, abs(t_num @ t_num - mu2))
         dt = max(dt, np.abs(numeric_d(t_coords, 5, 3, p, h)).max())
         dst = max(dst, np.abs(numeric_d(star_t_coords, 5, 2, p, h)).max())
-        gam = connection_coefficients(cf, p, t_frame)
+        gam = connection_coefficients(structure_functions(cf, p), t_frame)
         ne = max(ne, float(np.max(np.abs(gam[:, 4, :]))))
         rep_nabla = riemann_ricci(cf, p, t_frame, h=h)
         rn = max(rn, rep_nabla.max_ric)

@@ -152,6 +152,12 @@ class Torsion27Family:
         offset = form_to_vector(sigma - self.particular, IDX3)
         return linalg.in_span(offset, rows)
 
+    def equals(self, particular, directions):
+        """Is the family the affine set particular + span(directions)?"""
+        rows = [form_to_vector(d, IDX3) for d in self.directions]
+        return (linalg.vectors_span_equal(rows, [form_to_vector(d, IDX3) for d in directions])
+                and self.contains(particular))
+
 
 def _tvalue(form, *slots):
     """Coefficient-style evaluation T(e_a, e_b, e_c) for basis directions."""
@@ -252,15 +258,8 @@ def lemma_family(m):
 
 
 def families_coincide(family, m):
-    """Double-inclusion test: solved family == closed-form family."""
-    if family.is_empty():
-        return False
-    lp, ld = lemma_family(m)
-    rows_solved = [form_to_vector(d, IDX3) for d in family.directions]
-    rows_lemma = [form_to_vector(d, IDX3) for d in ld]
-    if not linalg.vectors_span_equal(rows_solved, rows_lemma):
-        return False
-    return linalg.in_span(form_to_vector(lp - family.particular, IDX3), rows_solved)
+    """Is the solved family the closed-form family?"""
+    return not family.is_empty() and family.equals(*lemma_family(m))
 
 
 # ---------------------------------------------------------------- kernels
@@ -532,12 +531,7 @@ def branch1_template_matches(branch, mu):
         two_field_template(0, 1, 0, 0),
         two_field_template(0, 0, 1, 0),
     ]
-    base27 = base_full - t1
-    rows_solved = [form_to_vector(d, IDX3) for d in fam.directions]
-    rows_templ = [form_to_vector(d, IDX3) for d in dirs_full]
-    if not linalg.vectors_span_equal(rows_solved, rows_templ):
-        return False
-    return linalg.in_span(form_to_vector(base27 - fam.particular, IDX3), rows_solved)
+    return fam.equals(base_full - t1, dirs_full)
 
 
 def branch2_exclusion_identities():

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -456,10 +457,11 @@ def _check_args(args) -> None:
     """
     if args.command == "group-report":
         if args.placement:
-            try:
-                args.placement = tuple(int(x) for x in args.placement.split(","))
-            except ValueError as exc:
-                raise SystemExit(f"error: bad --placement: {exc}") from exc
+            fields = args.placement.split(",")
+            if not all(re.fullmatch(r"[0-9]+", x) for x in fields):
+                raise SystemExit(f"error: bad --placement {args.placement!r}: "
+                                 "fields must be ASCII digits")
+            args.placement = tuple(int(x) for x in fields)
         else:
             args.placement = None
     elif args.command in ("kahler", "theorem1"):

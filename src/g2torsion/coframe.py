@@ -167,12 +167,12 @@ def levi_civita_cartan(c: Array) -> Array:
     return gamma
 
 
-def connection_coefficients(cf: CoframeField, p: Array,
-                            torsion: Array | None = None) -> Array:
-    """gamma of the metric connection with optional frame-constant skew torsion."""
-    gamma = levi_civita_cartan(structure_functions(cf, p))
+def connection_coefficients(c: Array, torsion: Array | None = None) -> Array:
+    """gamma of the metric connection of a frame with structure functions c,
+    with optional frame-constant skew torsion."""
+    gamma = levi_civita_cartan(c)
     if torsion is not None:
-        gamma = gamma + 0.5 * _skew_tensor(torsion, cf.n)
+        gamma = gamma + 0.5 * _skew_tensor(torsion, len(c))
     return gamma
 
 
@@ -215,18 +215,19 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
     n = cf.n
     c = structure_functions(cf, p)
 
-    def m_matrices(q):
-        g = connection_coefficients(cf, q, torsion)
+    def m_matrices(c_q):
+        g = connection_coefficients(c_q, torsion)
         return g.transpose(0, 2, 1)    # M[i][l][k] = gamma_{ikl}
 
-    m0 = m_matrices(p)
+    m0 = m_matrices(c)
     # coordinate partials of the M field, then convert to frame directions
     partials = np.zeros((n, n, n, n))  # partials[beta] = dM/dx_beta
     for beta in range(n):
         pp, pm = p.copy(), p.copy()
         pp[beta] += h
         pm[beta] -= h
-        partials[beta] = (m_matrices(pp) - m_matrices(pm)) / (2 * h)
+        partials[beta] = (m_matrices(structure_functions(cf, pp))
+                          - m_matrices(structure_functions(cf, pm))) / (2 * h)
     e = cf.dual(p)
     # dm[i, j] = directional derivative of M_j along the frame vector e_i
     dm = np.einsum("bjlk,bi->ijlk", partials, e)

@@ -58,7 +58,7 @@ def _project_onto(form, basis):
     """Orthogonal projection onto span(basis) via an exact Gram solve."""
     gram = [[a.inner(b) for b in basis] for a in basis]
     rhs = [b.inner(form) for b in basis]
-    coeffs = linalg.solve(gram, rhs)
+    coeffs = linalg.solve_affine(gram, rhs)[0]
     out = Form.zero(form.n)
     for c, b in zip(coeffs, basis):
         out = out + b.scale(c)

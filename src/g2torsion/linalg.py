@@ -152,18 +152,11 @@ def det(m):
     return out
 
 
-def nullspace(m):
-    """Basis of the right kernel, one vector per free column (deterministic)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [[ONE if i == j else ZERO for i in range(cols)] for j in range(cols)]
-    r, pivots = rref(m)
-    pivset = set(pivots)
+def _kernel(r, pivots, cols):
+    """Kernel basis of the first `cols` columns of a reduced form, one vector
+    per free column (deterministic)."""
     basis = []
-    for free in range(cols):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(cols)) - set(pivots)):
         v = [ZERO] * cols
         v[free] = ONE
         for i, pc in enumerate(pivots):
@@ -172,38 +165,24 @@ def nullspace(m):
     return basis
 
 
-def solve(a, b):
-    """One solution of A x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
+def nullspace(m):
+    """Basis of the right kernel, one vector per free column (deterministic)."""
+    return _kernel(*rref(m), len(m[0]) if m else 0)
 
 
 def solve_affine(a, b):
-    """Particular solution plus kernel basis of A x = b.
+    """Particular solution plus kernel basis of A x = b, from one elimination.
 
     Returns (x0, kernel_basis); x0 is None when the system is inconsistent.
     """
-    x0 = solve(a, b)
-    if x0 is None:
+    cols = len(a[0]) if a else 0
+    r, pivots = rref([list(row) + [x] for row, x in zip(a, b)])
+    if cols in pivots:
         return None, []
-    return x0, nullspace(a)
-
-
-def inverse(a):
-    n = len(a)
-    aug = [list(a[i]) + list(identity(n)[i]) for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    x0 = [ZERO] * cols
+    for i, pc in enumerate(pivots):
+        x0[pc] = r[i][cols]
+    return x0, _kernel(r, pivots, cols)
 
 
 def charpoly(a):
@@ -341,21 +320,15 @@ def random_rotation(n, rng, steps=6):
 
 
 def vectors_span_equal(a_basis, b_basis):
-    """Do two lists of rational vectors span the same subspace?"""
-    if not a_basis and not b_basis:
-        return True
-    if bool(a_basis) != bool(b_basis):
-        return False
-    ra = rank(a_basis)
-    rb = rank(b_basis)
-    if ra != rb:
-        return False
-    return rank(a_basis + b_basis) == ra
+    """Do two lists of rational vectors span the same subspace?
+
+    The nonzero rows of the reduced row echelon form determine the span.
+    """
+    (ra, pa), (rb, pb) = rref(a_basis), rref(b_basis)
+    return ra[:len(pa)] == rb[:len(pb)]
 
 
 def in_span(vec, basis):
-    if all(x == 0 for x in vec):
-        return True
-    if not basis:
-        return False
-    return rank(basis + [vec]) == rank(basis)
+    """Is vec a combination of the basis vectors?  It is unless it adds a
+    pivot column to the matrix with the basis vectors as columns."""
+    return len(basis) not in rref(transpose(basis + [vec]))[1]

@@ -55,6 +55,12 @@ def test_family_members_solve_the_eigen_system():
     # membership test agrees
     assert fam.contains(member)
     assert not fam.contains(member + Form.basis(7, 1, 2, 3))
+    # set equality needs both the linear part and the offset: the closed-form
+    # family of m3 = 6 has the same directions but another offset
+    assert fam.equals(member, fam.directions)
+    assert not fam.equals(member, fam.directions[1:])
+    assert cl.families_coincide(fam, m)
+    assert not cl.families_coincide(fam, cl.EigenTriple.of(2, Fraction(-1, 3), 6))
 
 
 def test_lemma_member_dependent_coefficients():

@@ -223,6 +223,16 @@ def test_group_report_bad_placement(tmp_path, capsys):
     assert main(["group-report", str(f), "--placement", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("placement", ["\u0661,\u0662,\u0667,\u0664,\u0665,\u0666,\u0663",
+                                       "+1,2,7,4,5,6,3"])
+def test_group_report_rejects_placement_that_is_not_ascii_digits(tmp_path, capsys, placement):
+    # int() would read both as 1,2,7,4,5,6,3, the placement that fixes this algebra
+    f = tmp_path / "mis.alg"
+    f.write_text(MISPLACED_ALG)
+    assert main(["group-report", str(f), "--placement", placement]) == 2
+    assert "ASCII digits" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ numerics
 
 

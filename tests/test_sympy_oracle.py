@@ -1,8 +1,8 @@
 """Exact linear algebra against sympy as an independent oracle.
 
 Characteristic polynomials, rational roots (with multiplicities and the
-split flag) and kernels are compared on seeded random small rational
-matrices.  sympy is a test-only dependency; without it the module skips.
+split flag), kernels, affine solution sets and span tests are compared on
+seeded random small rational matrices.  sympy is a test-only dependency; without it the module skips.
 """
 
 import random
@@ -97,3 +97,74 @@ def test_nullspace_matches_sympy(seed):
         theirs_m = sympy.Matrix.hstack(*theirs).T
         assert ours_m.rank() == len(ours)
         assert sympy.Matrix.vstack(ours_m, theirs_m).rank() == len(ours)
+
+
+def random_combination(rng, rows, cols):
+    """A random rational combination of `rows` (zero when there are none)."""
+    out = [Fraction(0)] * cols
+    for row in rows:
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        out = [x + t * y for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_affine_matches_sympy(seed):
+    """Half the right-hand sides are built in the column space, so both
+    consistent and inconsistent systems occur."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    m = random_matrix(rng, rows, cols)
+    if rng.random() < 0.5:
+        b = random_combination(rng, linalg.transpose(m), rows)
+    else:
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)]
+    x0, kernel = linalg.solve_affine(m, b)
+    a_s = to_sympy(m)
+    consistent = a_s.rank() == sympy.Matrix.hstack(a_s, to_sympy([[x] for x in b])).rank()
+    assert (x0 is not None) == consistent
+    if not consistent:
+        assert kernel == []
+        return
+    assert linalg.matvec(m, x0) == b
+    theirs = a_s.nullspace()
+    assert len(kernel) == len(theirs)
+    for v in kernel:
+        assert linalg.matvec(m, v) == [Fraction(0)] * rows
+    if kernel:
+        ours_m = to_sympy(kernel)
+        assert ours_m.rank() == len(kernel)
+        assert sympy.Matrix.vstack(ours_m, sympy.Matrix.hstack(*theirs).T).rank() == len(kernel)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_in_span_matches_sympy(seed):
+    rng = random.Random(seed)
+    k, n = rng.randint(0, 4), rng.randint(1, 6)
+    basis = random_matrix(rng, k, n)
+    if rng.random() < 0.5:
+        vec = random_combination(rng, basis, n)
+    else:
+        vec = random_matrix(rng, 1, n)[0]
+    want = (to_sympy(basis + [vec]).rank() == to_sympy(basis).rank()) if basis \
+        else not any(vec)
+    assert linalg.in_span(vec, basis) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vectors_span_equal_matches_sympy(seed):
+    """The second list is either random or a random recombination of the
+    first, so both equal and unequal spans occur."""
+    rng = random.Random(seed)
+    k, n = rng.randint(0, 4), rng.randint(1, 6)
+    a = random_matrix(rng, k, n)
+    if rng.random() < 0.5:
+        b = [random_combination(rng, a, n) for _ in range(rng.randint(0, 4))]
+    else:
+        b = random_matrix(rng, rng.randint(0, 4), n)
+
+    def rank(vs):
+        return to_sympy(vs).rank() if vs else 0
+
+    want = rank(a) == rank(b) == rank(a + b)
+    assert linalg.vectors_span_equal(a, b) == want
