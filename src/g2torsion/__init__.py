@@ -4,7 +4,7 @@ The exact layer (forms, spin, g2, liegroup, classifier) works over the
 rationals; the numerical layer (coframe, liouville, bundle) provides
 finite-difference differential geometry for coordinate-dependent metrics.
 The numerical names are imported on first access, so code that uses only
-the exact layer never imports numpy or scipy.
+the exact layer never imports numpy.
 """
 
 import importlib

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .coframe import (CoframeField, connection_coefficients, coords_to_frame,
                       form_hodge, form_wedge, frame_to_coords, numeric_d,
                       riemann_ricci, structure_functions, torsion_ricci)
 from .forms import basis_indices
-from .liouville import LiouvilleSolution, quintic_hermite
+from .liouville import Bernstein, LiouvilleSolution, quintic_hermite
 
 DEFAULT_BOX = (-1.0, 1.0)
 
@@ -51,7 +50,7 @@ def kahler_coframe(sol: LiouvilleSolution, box=DEFAULT_BOX,
     def matrix(p):
         x, y = p[0], p[1]
         s = math.sqrt(x)
-        w = math.exp(0.5 * float(sol.u(x)))
+        w = math.exp(0.5 * sol.u(x))
         a = np.zeros((4, 4))
         a[0, 0] = w * s
         a[1, 1] = w * s
@@ -63,8 +62,8 @@ def kahler_coframe(sol: LiouvilleSolution, box=DEFAULT_BOX,
     def matrix_jac(p):
         x, y = p[0], p[1]
         s = math.sqrt(x)
-        u = float(sol.u(x))
-        du = float(sol.du(x))
+        u = sol.u(x)
+        du = sol.du(x)
         w = math.exp(0.5 * u)
         j = np.zeros((4, 4, 4))
         dws = w * (0.5 * du * s + 0.5 / s)       # d(e^{u/2} sqrt x)/dx
@@ -195,7 +194,7 @@ class BundleData:
         return 2.0 * self.a
 
 
-def _potential_spline(sol: LiouvilleSolution, a: float) -> BPoly:
+def _potential_spline(sol: LiouvilleSolution, a: float) -> Bernstein:
     """Antiderivative Q(x) of 2 a x e^u by coordinate-line integration.
 
     The integrand and its first two derivatives are closed-form in
@@ -226,16 +225,12 @@ def assemble_N5(sol: LiouvilleSolution, points=None, box=DEFAULT_BOX,
         rng = rng or np.random.default_rng(7)
         points = base.sample_points(rng, 10)
     panel = hypothesis_panel(base, a, points, tol)
-    q_poly = _potential_spline(sol, a)
-
-    def potential(x):
-        return float(q_poly(x))
-
+    potential = _potential_spline(sol, a)
     # residual of dA = Omega at the base points: dA/dx vs 2 a x e^u
     pot_res = 0.0
     for p in points:
         x = p[0]
-        exact = 2.0 * a * x * math.exp(float(sol.u(x)))
+        exact = 2.0 * a * x * math.exp(sol.u(x))
         fd = (potential(x + 1e-6) - potential(x - 1e-6)) / 2e-6
         pot_res = max(pot_res, abs(fd - exact))
     panel.potential_residual = pot_res
@@ -257,7 +252,7 @@ def assemble_N5(sol: LiouvilleSolution, points=None, box=DEFAULT_BOX,
         j = np.zeros((5, 5, 5))
         j[:4, :4, :4] = j4
         x = p[0]
-        j[4, 1, 0] = 2.0 * a * x * math.exp(float(sol.u(x)))
+        j[4, 1, 0] = 2.0 * a * x * math.exp(sol.u(x))
         return j
 
     domain5 = base.domain + (DEFAULT_BOX,)

@@ -17,8 +17,8 @@ input-file error.  JSON output is byte-deterministic: keys sorted, exact
 rationals as "p/q" strings in lowest terms, floating-point values in
 12-significant-digit scientific notation.
 
-The numerical layer (numpy, scipy and the modules built on them) is imported
-only by the commands that solve, so the exact commands start without it.
+The numerical layer (numpy and the modules built on it) is imported only by
+the commands that solve, so the exact commands start without it.
 """
 
 from __future__ import annotations

@@ -214,9 +214,12 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
     h = h if h is not None else cf.h
     n = cf.n
     c = structure_functions(cf, p)
+    half_t = None if torsion is None else 0.5 * _skew_tensor(torsion, n)
 
     def m_matrices(c_q):
-        g = connection_coefficients(c_q, torsion)
+        g = levi_civita_cartan(c_q)
+        if half_t is not None:
+            g = g + half_t
         return g.transpose(0, 2, 1)    # M[i][l][k] = gamma_{ikl}
 
     m0 = m_matrices(c)
@@ -231,14 +234,11 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
     e = cf.dual(p)
     # dm[i, j] = directional derivative of M_j along the frame vector e_i
     dm = np.einsum("bjlk,bi->ijlk", partials, e)
-    riemann = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            rij = dm[i, j] - dm[j, i] + m0[i] @ m0[j] - m0[j] @ m0[i]
-            for mm in range(n):
-                if c[mm, i, j]:
-                    rij = rij - c[mm, i, j] * m0[mm]
-            riemann[i, j] = rij
+    prod = m0[:, None] @ m0[None, :]   # prod[i, j] = M_i M_j
+    riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
+    for mm in range(n):                # nonzero c^m_{ij} only, m ascending
+        i, j = np.nonzero(c[mm])
+        riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
     ric = np.einsum("ijik->jk", riemann)
     sym_err = float(np.max(np.abs(ric - ric.T)))
     if sym_err > symmetry_tol and torsion is None:

@@ -13,16 +13,177 @@ evaluator whose second derivative at the nodes is taken from the ODE itself,
 so downstream curvature checks see a solution accurate to ~1e-10.
 quintic_hermite builds the Bernstein coefficients of such an evaluator for
 all intervals in one vectorised step.
+
+The layer needs numpy only.  The piecewise Bernstein evaluator, the
+tridiagonal solve and the not-a-knot spline repeat the floating-point steps
+of scipy's BPoly, solve_banded((1, 1), ...) and CubicSpline, so their
+results agree with scipy's bit for bit; scipy is a test-time oracle only.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BPoly, CubicSpline
-from scipy.linalg import solve_banded
+
+
+class Bernstein:
+    """Piecewise polynomial in the Bernstein basis.
+
+    On [x[i], x[i+1]] it is sum_j c[j, i] C(k, j) s^j (1 - s)^(k - j) with
+    s = (x - x[i]) / (x[i+1] - x[i]); points outside [x[0], x[-1]] use the
+    end pieces.  Evaluation copies scipy's evaluate_bpoly1 operation for
+    operation: degree 3 in closed form, every other degree as the sum of
+    comb * s**j * s1**(k - j) * c[j] with libm pow, so the values agree with
+    BPoly(c, x) bit for bit.  A scalar argument is evaluated in plain Python
+    and memoised for the life of the polynomial; an array argument in numpy.
+    """
+
+    def __init__(self, c, x):
+        self.c = np.ascontiguousarray(c, dtype=float)
+        self.x = np.ascontiguousarray(x, dtype=float)
+        k = len(self.c) - 1
+        self._combs = [1.0]
+        for j in range(k):
+            self._combs.append(self._combs[-1] * (1.0 * (k - j) / (j + 1.0)))
+        self._memo = {}
+
+    @cached_property
+    def _pieces(self):
+        return self.x.tolist(), self.c.T.tolist()
+
+    def __call__(self, x):
+        if isinstance(x, (float, int)):
+            value = self._memo.get(x)
+            if value is None:
+                value = self._memo[x] = self._scalar(float(x))
+            return value
+        return self._array(np.asarray(x, dtype=float))
+
+    def _scalar(self, x):
+        nodes, pieces = self._pieces
+        i = min(max(bisect_right(nodes, x) - 1, 0), len(pieces) - 1)
+        s = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+        s1 = 1.0 - s
+        c = pieces[i]
+        k = len(c) - 1
+        if k == 3:
+            return (c[0] * s1 * s1 * s1 + c[1] * 3.0 * s1 * s1 * s
+                    + c[2] * 3.0 * s1 * s * s + c[3] * s * s * s)
+        res = 0.0
+        for j, comb in enumerate(self._combs):
+            res += comb * s ** j * s1 ** (k - j) * c[j]
+        return res
+
+    def _array(self, x):
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1,
+                    0, self.c.shape[1] - 1)
+        lo = self.x[i]
+        s = (x - lo) / (self.x[i + 1] - lo)
+        s1 = 1.0 - s
+        c = self.c[:, i]
+        k = len(c) - 1
+        if k == 3:
+            return (c[0] * s1 * s1 * s1 + c[1] * 3.0 * s1 * s1 * s
+                    + c[2] * 3.0 * s1 * s * s + c[3] * s * s * s)
+        res = np.zeros_like(s)
+        for j, comb in enumerate(self._combs):
+            res += comb * np.float_power(s, j) * np.float_power(s1, k - j) * c[j]
+        return res
+
+    def derivative(self) -> Bernstein:
+        """B' = sum_j k (c[j+1] - c[j]) / dx b_{j,k-1}, as BPoly.derivative."""
+        k = len(self.c) - 1
+        return Bernstein(k * np.diff(self.c, axis=0) / np.diff(self.x)[None, :],
+                         self.x)
+
+    def antiderivative(self) -> Bernstein:
+        """The antiderivative that vanishes at x[0], as BPoly.antiderivative."""
+        c, x = self.c, self.x
+        k = len(c)
+        c2 = np.zeros((k + 1, c.shape[1]))
+        c2[1:] = np.cumsum(c, axis=0) / k
+        c2 *= (x[1:] - x[:-1])[None, :]
+        # continuity: each piece starts where the previous one ends
+        c2[:, 1:] += np.cumsum(c2[k, :])[:-1]
+        return Bernstein(c2, x)
+
+
+def tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve a tridiagonal system by Thomas elimination.
+
+    The arguments are lists of floats; lower[i] and upper[i] are the
+    entries (i + 1, i) and (i, i + 1) of the matrix.  Each step is LAPACK
+    dgtsv's for one right-hand side: the multiplier lower / pivot, then
+    diag - m * upper, with rows i and i + 1 interchanged when
+    |pivot| < |lower|, then back-substitution.  So the solution agrees with
+    scipy's solve_banded((1, 1), ...) bit for bit.  Returns the solution as
+    a list, or None when a pivot is zero or not finite.
+    """
+    rows = []                  # eliminated rows (pivot, upper, fill, rhs)
+    p, u, bi = diag[0], (upper[0] if len(upper) else 0.0), rhs[0]
+    for lo, d_next, b_next, u_next in zip(lower, diag[1:], rhs[1:],
+                                          list(upper[1:]) + [0.0]):
+        if abs(p) >= abs(lo):
+            if not 0.0 < abs(p) < math.inf:
+                return None
+            m = lo / p
+            rows.append((p, u, 0.0, bi))
+            p, u, bi = d_next - m * u, u_next, b_next - m * bi
+        else:                  # interchange this row and the next
+            if not abs(lo) < math.inf:
+                return None
+            m = p / lo
+            rows.append((lo, d_next, u_next, b_next))
+            p, u, bi = u - m * d_next, -m * u_next, bi - m * b_next
+    if not 0.0 < abs(p) < math.inf:
+        return None
+    x1, x2 = bi / p, 0.0
+    out = [x1]
+    for p, u, fill, bi in reversed(rows):
+        x1, x2 = (bi - u * x1 - fill * x2) / p, x1
+        out.append(x1)
+    out.reverse()
+    return out
+
+
+def not_a_knot_spline(x, y, at):
+    """Values at `at` of the not-a-knot cubic spline through (x, y).
+
+    Repeats CubicSpline(x, y)(at) for at least four increasing nodes: the
+    same tridiagonal slope system, solved by tridiagonal_solve, the same
+    power-basis coefficients and the same evaluation order.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty(len(x))
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper = np.empty(len(dx))
+    upper[1:] = dx[:-1]
+    lower = np.empty(len(dx))
+    lower[:-1] = dx[1:]
+    b = np.empty(len(x))
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    diag[0] = dx[1]
+    upper[0] = d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    diag[-1] = dx[-2]
+    lower[-1] = d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
+                          b.tolist())
+    if s is None:
+        raise RuntimeError("spline slope system has a zero or non-finite pivot")
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(dx) - 1)
+    ds = at - x[i]
+    ds2 = ds * ds
+    return c3[i] + c2[i] * ds + c1[i] * ds2 + c0[i] * (ds2 * ds)
 
 
 @dataclass(frozen=True)
@@ -55,9 +216,9 @@ class LiouvilleSolution:
     values: np.ndarray
     residual_norm: float          # discrete max-norm of the plugged-back ODE
     iterations: int
-    evaluator: BPoly = field(repr=False)
-    derivative: BPoly = field(repr=False)
-    second_derivative: BPoly = field(repr=False)
+    evaluator: Bernstein = field(repr=False)
+    derivative: Bernstein = field(repr=False)
+    second_derivative: Bernstein = field(repr=False)
     # Residual max-norm before and after each Newton step, one tuple per
     # solve: the n-interval solve, then the doubled-grid one under Richardson.
     trace: tuple
@@ -88,7 +249,9 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
 
     Iterates until the residual reaches newton_tol or its rounding floor
     (second differences of O(1) values divided by h^2 cannot beat
-    ~eps/h^2); raises if the final residual still exceeds cap.
+    ~eps/h^2); raises if the final residual still exceeds cap.  A Newton
+    matrix with a zero or non-finite pivot ends the iteration like a
+    rejected step.
     """
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
     h = (cfg.x1 - cfg.x0) / n
@@ -102,19 +265,23 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
                 + coeff * x[1:-1] * np.exp(uv[1:-1])
         return r
 
-    def band_matrix(uv):
-        band = np.zeros((3, n - 1))
-        band[0, 1:] = 1.0 / h ** 2                     # super-diagonal
-        band[1] = -2.0 / h ** 2 + coeff * x[1:-1] * np.exp(uv[1:-1])
-        band[2, :-1] = 1.0 / h ** 2                    # sub-diagonal
-        return band
+    off = [1.0 / h ** 2] * (n - 2)
+
+    def newton_step(uv, rhs):
+        """Solve J step = rhs for the Newton matrix J at uv (tridiagonal,
+        1/h^2 off the diagonal); None when J has a bad pivot."""
+        diag = -2.0 / h ** 2 + coeff * x[1:-1] * np.exp(uv[1:-1])
+        step = tridiagonal_solve(off, diag.tolist(), off, rhs.tolist())
+        return None if step is None else np.array(step)
 
     res = residual(u)
     norm = float(np.max(np.abs(res)))
     trace = [norm]
     iters = 0
     while norm > cfg.newton_tol and iters < cfg.max_iter:
-        step = solve_banded((1, 1), band_matrix(u), -res[1:-1])
+        step = newton_step(u, -res[1:-1])
+        if step is None:
+            break          # no step to take: rejected like a non-descent
         lam, improved = 1.0, False
         for _ in range(30):
             trial = u.copy()
@@ -155,8 +322,9 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
             trace.append(norm)
             if norm <= cfg.newton_tol or not np.isfinite(norm):
                 break
-            step = solve_banded((1, 1), band_matrix(ul.astype(float)),
-                                -rl[1:-1].astype(float))
+            step = newton_step(ul.astype(float), -rl[1:-1].astype(float))
+            if step is None:
+                break
             ul[1:-1] += step
             iters += 1
     if not np.isfinite(norm) or norm > cap:
@@ -167,7 +335,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
     return x, ul, norm, iters, tuple(trace)
 
 
-def quintic_hermite(x, y, dy, d2y) -> BPoly:
+def quintic_hermite(x, y, dy, d2y) -> Bernstein:
     """C^2 piecewise quintic with values y, y', y'' at the increasing nodes x.
 
     Computes the six Bernstein coefficients of every interval at once.  The
@@ -197,7 +365,7 @@ def quintic_hermite(x, y, dy, d2y) -> BPoly:
     c[3] = d2y[1:] / 20.0 * h2
     c[3] -= -2.0 * c[4]
     c[3] -= c[5]
-    return BPoly(c, x)
+    return Bernstein(c, x)
 
 
 def _fourth_order_first_derivative(x, u):
@@ -239,7 +407,7 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
         corr = ((u2[::2] - u) / np.longdouble(3)).astype(float)
         fine = np.linspace(cfg.x0, cfg.x1, 2 * cfg.n + 1)
         grid_eval = fine
-        u_eval = u2 + CubicSpline(x, corr)(fine)
+        u_eval = u2 + not_a_knot_spline(x, corr, fine)
         values = u2[::2] + corr      # the extrapolant u2 + (u2 - u)/3
         norm = max(norm, norm2)
         iters += iters2

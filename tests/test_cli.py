@@ -285,25 +285,47 @@ def test_non_finite_inputs_are_usage_errors(command, argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
-IMPORTED_AFTER = """
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
+@pytest.mark.parametrize("grid", ["200", "400", "800", "1600"])
+def test_supercritical_solve_exits_1_on_every_grid(command, grid, capsys):
+    """At a = 1.0 no solution exists; a singular or non-finite Newton
+    matrix must end as divergence, not as an exception."""
+    code = main([command, "--a", "1.0", "--grid", grid, "--points", "1",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Newton did not converge" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert "Newton did not converge" in payload["error"]
+
+
+SCIPY_BLOCKED = """
 import sys
+sys.modules["scipy"] = None          # every scipy import now fails
 from g2torsion.cli import main
 code = main(sys.argv[1:] + ["--format", "json"])
-print(code, "scipy" in sys.modules, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules)
 """
 
 
 @pytest.mark.parametrize("argv, numeric", [
-    (["lemma", "--m1", "6", "--m2", "6", "--m3", "6", "--mu", "7"], False),
-    (["kahler", "--grid", "50", "--points", "1"], True),
+    pytest.param(["lemma", "--m1", "6", "--m2", "6", "--m3", "6", "--mu", "7"],
+                 False, id="lemma"),
+    pytest.param(["values", "--mu", "7"], False, id="values"),
+    pytest.param(["kahler", "--grid", "50", "--points", "1"], True, id="kahler"),
+    pytest.param(["theorem1", "--grid", "100", "--points", "2"], True,
+                 id="theorem1"),
+    pytest.param(["selftest"], True, id="selftest"),
 ])
-def test_only_solving_commands_import_scipy(argv, numeric):
+def test_commands_run_with_scipy_blocked(argv, numeric):
+    """No command needs scipy, and only the solving ones import numpy."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORTED_AFTER] + argv,
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED] + argv,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-3:] == ["0", str(numeric), str(numeric)]
+    assert proc.stdout.split()[-2:] == ["0", str(numeric)]
 
 
 def test_kahler_rejects_zero_points(capsys):

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import BPoly
 
-from g2torsion.liouville import (LiouvilleConfig, quintic_hermite,
-                                 refinement_orders, solve_liouville)
+from g2torsion import liouville
+from g2torsion.liouville import (Bernstein, LiouvilleConfig, quintic_hermite,
+                                 refinement_orders, solve_liouville,
+                                 tridiagonal_solve)
 
 RNG = np.random.default_rng(11)
 
@@ -113,6 +114,7 @@ def test_supercritical_parameter_fails_cleanly():
 @pytest.mark.parametrize("nodes", [5, 3201])
 @pytest.mark.parametrize("uniform", [True, False])
 def test_quintic_hermite_matches_scipy_bit_for_bit(nodes, uniform):
+    BPoly = pytest.importorskip("scipy.interpolate").BPoly
     rng = np.random.default_rng(nodes)
     if uniform:
         x = np.linspace(1.0, 2.0, nodes)
@@ -141,3 +143,40 @@ def test_newton_trace_and_richardson_correction_are_kept():
     # the extrapolant u_h + 4 (u_{h/2} - u_h)/3 moves the raw nodes by 4 corr
     assert np.max(np.abs(sol.values - raw.values)) == pytest.approx(
         4 * sol.richardson_correction, rel=1e-6)
+
+
+def test_memo_hit_returns_the_fresh_value():
+    sol = solve_liouville(0.25, n=200)
+    for x in (1.0, 1.37, np.float64(1.5), 2.0):
+        first = sol.u(x)
+        assert x in sol.evaluator._memo
+        fresh = Bernstein(sol.evaluator.c, sol.evaluator.x)(float(x))
+        assert sol.u(x) == first == fresh
+        assert isinstance(first, float)
+    # an array argument is evaluated afresh and agrees with the memo
+    assert sol.u(np.array([1.37]))[0] == sol.u(1.37)
+
+
+def test_tridiagonal_solve_solves_and_fails_closed():
+    # [[2, 1, 0], [1, 2, 1], [0, 1, 2]] x = [4, 8, 8] has x = [1, 2, 3]
+    assert tridiagonal_solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0],
+                             [4.0, 8.0, 8.0]) == pytest.approx([1.0, 2.0, 3.0])
+    # a zero first row keeps its order and stops at the zero pivot
+    assert tridiagonal_solve([0.0], [0.0, 1.0], [1.0], [1.0, 1.0]) is None
+    # singular: rows 1 and 2 of [[1, 1], [1, 1]] coincide; the second pivot is 0
+    assert tridiagonal_solve([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]) is None
+    # non-finite pivots, one met on the way and one at the end
+    inf, nan = math.inf, math.nan
+    assert tridiagonal_solve([1.0, 1.0], [1.0, inf, 1.0], [1.0, 1.0],
+                             [1.0, 2.0, 3.0]) is None
+    assert tridiagonal_solve([1.0], [1.0, nan], [1.0], [1.0, 2.0]) is None
+    assert tridiagonal_solve([], [2.0], [], [1.0]) == [0.5]
+
+
+def test_singular_newton_matrix_is_a_rejected_step(monkeypatch):
+    """A Newton matrix with a zero pivot ends the iteration; the solver then
+    reports divergence instead of raising from the linear algebra."""
+    monkeypatch.setattr(liouville, "tridiagonal_solve", lambda *args: None)
+    with pytest.raises(RuntimeError, match="did not converge") as err:
+        solve_liouville(0.25, n=50)
+    assert "after 0 iterations" in str(err.value)

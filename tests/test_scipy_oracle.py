@@ -1,0 +1,103 @@
+"""The numpy-only float layer against scipy as an independent oracle.
+
+The Bernstein evaluator, the tridiagonal solve and the not-a-knot spline in
+``liouville`` repeat the floating-point steps of scipy's BPoly,
+solve_banded((1, 1), ...) and CubicSpline, so every comparison here is bit
+for bit.  scipy is a test-only dependency; without it the module skips.
+"""
+
+import numpy as np
+import pytest
+
+from g2torsion.liouville import (not_a_knot_spline, quintic_hermite,
+                                 solve_liouville, tridiagonal_solve)
+
+interpolate = pytest.importorskip("scipy.interpolate")
+scipy_linalg = pytest.importorskip("scipy.linalg")
+
+
+def sample_points(x, seed):
+    """Seeded interior points, every node, and both ends."""
+    rng = np.random.default_rng(seed)
+    inner = x[0] + (x[-1] - x[0]) * rng.random(400)
+    return np.concatenate([inner, x, [x[0], x[-1]]])
+
+
+@pytest.mark.parametrize("a, n", [(0.05, 200), (0.25, 400), (0.45, 1600)])
+def test_evaluator_and_derivatives_match_bpoly(a, n):
+    sol = solve_liouville(a, n=n)
+    xs = sample_points(sol.evaluator.x, n)
+    for ours in (sol.evaluator, sol.derivative, sol.second_derivative):
+        ref = interpolate.BPoly(ours.c, ours.x)
+        want = ref(xs)
+        assert np.array_equal(ours(xs), want)                       # array path
+        assert np.array_equal([ours(float(x)) for x in xs], want)   # scalar path
+    bp = interpolate.BPoly(sol.evaluator.c, sol.evaluator.x)
+    assert np.array_equal(sol.derivative.c, bp.derivative().c)
+    assert np.array_equal(sol.second_derivative.c, bp.derivative(2).c)
+    assert [len(p.c) - 1 for p in (sol.evaluator, sol.derivative,
+                                   sol.second_derivative)] == [5, 4, 3]
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_antiderivative_matches_bpoly(uniform):
+    rng = np.random.default_rng(7)
+    x = np.linspace(1.0, 2.0, 401) if uniform else 1.0 + np.cumsum(rng.random(401))
+    y, dy, d2y = rng.normal(size=(3, len(x)))
+    ours = quintic_hermite(x, y, dy, d2y).antiderivative()
+    ref = interpolate.BPoly.from_derivatives(
+        x, np.column_stack([y, dy, d2y])).antiderivative()
+    assert np.array_equal(ours.c, ref.c)
+    xs = sample_points(x, 8)
+    assert np.array_equal(ours(xs), ref(xs))
+    assert np.array_equal([ours(float(v)) for v in xs], ref(xs))
+
+
+@pytest.mark.parametrize("nodes", [5, 201, 1601])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_not_a_knot_spline_matches_cubic_spline(nodes, uniform):
+    rng = np.random.default_rng(nodes)
+    x = np.linspace(1.0, 2.0, nodes) if uniform else 1.0 + np.cumsum(rng.random(nodes))
+    y = rng.normal(size=nodes)
+    at = np.concatenate([np.linspace(x[0], x[-1], 2 * nodes - 1),
+                         sample_points(x, nodes + 1)])
+    assert np.array_equal(not_a_knot_spline(x, y, at),
+                          interpolate.CubicSpline(x, y)(at))
+
+
+def solve_banded(lower, diag, upper, rhs):
+    band = np.zeros((3, len(diag)))
+    band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
+    return scipy_linalg.solve_banded((1, 1), band, rhs)
+
+
+def newton_matrix(a, u, n):
+    """The Newton matrix of the solver at the iterate u on n intervals."""
+    h = 1.0 / n
+    x = np.linspace(1.0, 2.0, n + 1)
+    off = np.full(n - 2, 1.0 / h ** 2)
+    return off, -2.0 / h ** 2 + 8.0 * a ** 2 * x[1:-1] * np.exp(u[1:-1]), off
+
+
+@pytest.mark.parametrize("a, n", [(0.25, 200), (0.25, 800), (0.45, 1600)])
+def test_tridiagonal_solve_matches_solve_banded_on_newton_matrices(a, n):
+    """At a = 0.45 on 1600 intervals dgtsv interchanges rows near x = 2."""
+    sol = solve_liouville(a, n=n, richardson=False)
+    rhs = np.random.default_rng(n).normal(size=n - 1)
+    for u in (np.zeros(n + 1), sol.values):          # first and last iterate
+        lower, diag, upper = newton_matrix(a, u, n)
+        got = tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
+                                rhs.tolist())
+        assert np.array_equal(got, solve_banded(lower, diag, upper, rhs))
+
+
+def test_tridiagonal_solve_matches_solve_banded_with_row_interchanges():
+    """|diag| < |lower| makes dgtsv interchange rows; the port does too."""
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 17, 200):
+        lower = 1.0 + rng.random(n - 1)
+        upper, diag, rhs = rng.normal(size=(3, n))
+        diag *= 0.1
+        got = tridiagonal_solve(lower.tolist(), diag.tolist(),
+                                upper[:-1].tolist(), rhs.tolist())
+        assert np.array_equal(got, solve_banded(lower, diag, upper[:-1], rhs))
