@@ -1,7 +1,8 @@
 """Golden payloads: the JSON output of every subcommand on fixed inputs.
 
 Exact subcommands must reproduce their golden stdout byte for byte together
-with their exit code.  ``kahler`` and ``theorem1`` print residuals at
+with their exit code, both as JSON (``<name>.json``) and as ``--format text``
+(``<name>.txt``), whose line order follows each payload's key order.  ``kahler`` and ``theorem1`` print residuals at
 rounding level, whose leading digits depend on the BLAS build, so their
 payloads are compared on keys, exit code and non-numeric values, with
 numeric fields equal within a relative 1e-9 or absolute 1e-12.
@@ -81,13 +82,13 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _run(capsys, argv):
-    code = main(argv + ["--format", "json"])
+def _run(capsys, argv, fmt="json"):
+    code = main(argv + ["--format", fmt])
     return code, capsys.readouterr().out
 
 
-def _golden(name, out):
-    path = GOLDEN / f"{name}.json"
+def _golden(name, out, suffix="json"):
+    path = GOLDEN / f"{name}.{suffix}"
     if REGEN:
         GOLDEN.mkdir(exist_ok=True)
         path.write_bytes(out.encode())
@@ -100,6 +101,15 @@ def test_exact_payload_is_byte_identical(workdir, capsys, name, argv, want_code)
     code, out = _run(capsys, argv)
     assert code == want_code
     assert out == _golden(name, out)
+
+
+@pytest.mark.parametrize("name, argv, want_code", EXACT,
+                         ids=[case[0] for case in EXACT])
+def test_exact_text_output_is_byte_identical(workdir, capsys, name, argv,
+                                             want_code):
+    code, out = _run(capsys, argv, "text")
+    assert code == want_code
+    assert out == _golden(name, out, "txt")
 
 
 def _number(x):
