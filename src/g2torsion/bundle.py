@@ -84,6 +84,13 @@ def kahler_ricci_eigenvalues(cf: CoframeField, points) -> np.ndarray:
     return np.array([riemann_ricci(cf, p).eigenvalues for p in points])
 
 
+def kahler_ricci_deviation(eigs: np.ndarray, a: float) -> float:
+    """Largest distance of the sorted Ricci eigenvalue rows from the
+    spectrum {0, 0, 4a^2, 4a^2} of the Kaehler base."""
+    target = 4.0 * a * a
+    return float(np.max(np.abs(eigs - np.array([0.0, 0.0, target, target]))))
+
+
 def eigenvalue_multiplicity_gap(eigs: np.ndarray, target: float,
                                 rel_gap: float = 1e-4) -> bool:
     """True when each row splits as {0, 0, target, target} with a clear gap."""

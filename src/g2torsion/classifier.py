@@ -152,6 +152,12 @@ class Torsion27Family:
         offset = form_to_vector(sigma - self.particular, IDX3)
         return linalg.in_span(offset, rows)
 
+    def matches_lemma(self):
+        """The lemma's verdict: dimension 9, a = -(m1 - m2 + m3)/4,
+        b = (-m1 + m2 + m3)/4 and c = 0."""
+        return (self.dimension == 9 and self.a == self.m.a()
+                and self.b == self.m.b() and self.c == 0)
+
     def equals(self, particular, directions):
         """Is the family the affine set particular + span(directions)?"""
         rows = [form_to_vector(d, IDX3) for d in self.directions]
@@ -159,15 +165,10 @@ class Torsion27Family:
                 and self.contains(particular))
 
 
-def _tvalue(form, *slots):
-    """Coefficient-style evaluation T(e_a, e_b, e_c) for basis directions."""
-    return form[tuple(slots)]
-
-
 def _invariant_abc(form):
-    a = _tvalue(form, 2, 3, 6) + _tvalue(form, 2, 4, 5)
-    b = _tvalue(form, 3, 4, 7) + _tvalue(form, 5, 6, 7)
-    c = _tvalue(form, 2, 3, 5) - _tvalue(form, 2, 4, 6)
+    a = form[(2, 3, 6)] + form[(2, 4, 5)]
+    b = form[(3, 4, 7)] + form[(5, 6, 7)]
+    c = form[(2, 3, 5)] - form[(2, 4, 6)]
     return a, b, c
 
 
@@ -265,6 +266,10 @@ def families_coincide(family, m):
 # ---------------------------------------------------------------- kernels
 
 
+#: dimensions of the annihilator of the first k reference spinors, k = 1, 3, 4
+PINNED_KERNEL_DIMS = {1: 27, 3: 14, 4: 9}
+
+
 def kernel_dims(k):
     """dim {Sigma in Lambda^3_27 : Sigma . Psi_i = 0 for the first k spinors}.
 
@@ -290,10 +295,15 @@ def kernel_dims(k):
 # ---------------------------------------------------------------- values
 
 
-def eigenvalue_roots(mu):
-    """Roots of m^2 + (2/7) mu m - (48/49) mu^2 = 0: {6mu/7, -8mu/7}."""
+def root_pair(mu):
+    """(6mu/7, -8mu/7), the roots of m^2 + (2/7) mu m - (48/49) mu^2 = 0."""
     mu = frac(mu)
-    return {Fraction(6, 7) * mu, Fraction(-8, 7) * mu}
+    return Fraction(6, 7) * mu, Fraction(-8, 7) * mu
+
+
+def eigenvalue_roots(mu):
+    """The set of roots of m^2 + (2/7) mu m - (48/49) mu^2 = 0."""
+    return set(root_pair(mu))
 
 
 def torsion_value(m, mu):
@@ -303,12 +313,9 @@ def torsion_value(m, mu):
 
 def torsion_value_enumeration(mu):
     """All 8 root assignments and the induced values {0, +-mu/2, mu}."""
-    mu = frac(mu)
-    hi, lo = Fraction(6, 7) * mu, Fraction(-8, 7) * mu
     table = {}
-    for pattern in product((hi, lo), repeat=3):
-        m = EigenTriple(*pattern)
-        table[pattern] = torsion_value(m, mu)
+    for pattern in product(root_pair(mu), repeat=3):
+        table[pattern] = torsion_value(EigenTriple(*pattern), mu)
     return table
 
 
@@ -318,13 +325,18 @@ def torsion_value_fibers(mu):
     Counts assignments, not distinct patterns: at mu = 0 both roots coincide
     and all 8 assignments give 0 (the pattern table collapses to one entry).
     """
-    mu = frac(mu)
-    hi, lo = Fraction(6, 7) * mu, Fraction(-8, 7) * mu
     fibers = {}
-    for pattern in product((hi, lo), repeat=3):
+    for pattern in product(root_pair(mu), repeat=3):
         val = torsion_value(EigenTriple(*pattern), mu)
         fibers[val] = fibers.get(val, 0) + 1
     return fibers
+
+
+def expected_fibers(mu):
+    """The fibers torsion_value_fibers must have: values 0 and mu/2 three
+    times, -mu/2 and mu once, and all 8 assignments at 0 when mu = 0."""
+    mu = frac(mu)
+    return {ZERO: 3, mu / 2: 3, -mu / 2: 1, mu: 1} if mu else {ZERO: 8}
 
 
 # ---------------------------------------------------------------- 5-frame
@@ -426,10 +438,7 @@ def det_e2_closed_form(b, mu):
 
 def skew_matrix_of_two_form(eta, slots):
     """Matrix M_{xy} = eta(e_x, e_y) over the given frame slots."""
-    k = len(slots)
-    return [[eta[(slots[x], slots[y])] if slots[x] < slots[y]
-             else (-eta[(slots[y], slots[x])] if slots[y] < slots[x] else ZERO)
-             for y in range(k)] for x in range(k)]
+    return [[eta[(a, b)] for b in slots] for a in slots]
 
 
 def det_e2(b, mu):
@@ -493,8 +502,7 @@ def two_field_branches(mu):
     i.e. exactly one eigenvalue equals -8mu/7; placing it on m_1 (equivalently
     m_2) or on m_3 gives the two cases.
     """
-    mu = frac(mu)
-    hi, lo = Fraction(6, 7) * mu, Fraction(-8, 7) * mu
+    hi, lo = root_pair(mu)
     first = EigenTriple(lo, hi, hi)
     second = EigenTriple(hi, hi, lo)
     return first, second

@@ -13,9 +13,12 @@ theorem1 --a ...             5-dimensional bundle assembly + residual panel
 selftest                     curated battery across all modules
 
 Exit codes: 0 all checks pass, 1 a verification item failed, 2 usage or
-input-file error.  JSON output is byte-deterministic: keys sorted, exact
-rationals as "p/q" strings in lowest terms, floating-point values in
-12-significant-digit scientific notation.
+input-file error.  Each command returns one payload of raw values (rationals,
+forms, floats, checklist items); ``pipeline.exact_json`` is the one renderer
+that turns it into JSON values: keys sorted on output, exact rationals as
+"p/q" strings in lowest terms, floating-point values in 12-significant-digit
+scientific notation.  ``--format text`` prints the same rendered values, one
+per line, in each command's key order.
 
 The numerical layer (numpy and the modules built on it) is imported only by
 the commands that solve, so the exact commands start without it.
@@ -36,12 +39,8 @@ from .g2 import project3
 from .liegroup import (abelian, curvature, parse_algebra, parallel_fields,
                        r4_su2, su2, with_torsion)
 from .linalg import parse_rational
-from .pipeline import exact_json, form_mapping, rational_str
+from .pipeline import ChecklistItem, exact_json, rational_str
 from .spin import OCTONION_TRIPLES, standard_rep
-
-
-def sci(x) -> str:
-    return f"{float(x):.11e}"
 
 
 def _render_text(obj, indent=0):
@@ -67,14 +66,15 @@ def _render_text(obj, indent=0):
 
 
 def emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    rendered = exact_json(payload)
+    text = json.dumps(rendered, sort_keys=True, indent=2)
     if args.report_path:
         with open(args.report_path, "w") as fh:
             fh.write(text + "\n")
     if args.fmt == "json":
         print(text)
     else:
-        print("\n".join(_render_text(payload)))
+        print("\n".join(_render_text(rendered)))
 
 
 # ------------------------------------------------------------ subcommands
@@ -85,7 +85,7 @@ def _read(path):
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def cmd_decompose(args):
@@ -94,80 +94,64 @@ def cmd_decompose(args):
         raise ValueError(f"expected a 3-form, found degrees {form.degrees()}")
     parts = project3(form)
     recomposed = parts[1] + parts[7] + parts[27] == form
-    payload = {
+    return {
         "command": "decompose",
         "input": args.form_file,
-        "components": {str(k): form_mapping(v) for k, v in parts.items()},
-        "norms2": {str(k): rational_str(v.norm2()) for k, v in parts.items()},
+        "components": parts,
+        "norms2": {k: v.norm2() for k, v in parts.items()},
         "recomposes": recomposed,
         "passed": recomposed,
     }
-    return payload, recomposed
 
 
 def cmd_lemma(args):
     m = classifier.EigenTriple.of(args.m1, args.m2, args.m3)
     family = classifier.solve_family(m)
-    payload = {
-        "command": "lemma",
-        "m": [rational_str(x) for x in m.values],
-        "dimension": family.dimension,
-    }
-    passed = family.dimension == 9
+    payload = {"command": "lemma", "m": m.values, "dimension": family.dimension}
+    passed = family.matches_lemma()
     if not family.is_empty():
-        formulas = (family.a == m.a() and family.b == m.b() and family.c == 0)
-        passed = passed and formulas
         payload.update({
-            "a": rational_str(family.a),
-            "b": rational_str(family.b),
-            "c": rational_str(family.c),
-            "formulas_match": formulas,
-            "particular": form_mapping(family.particular),
-            "directions": [form_mapping(d) for d in family.directions],
+            "a": family.a,
+            "b": family.b,
+            "c": family.c,
+            "formulas_match": passed,
+            "particular": family.particular,
+            "directions": family.directions,
         })
     if args.mu is not None:
         roots = classifier.eigenvalue_roots(args.mu)
-        admissible = all(x in roots for x in m.values)
-        payload["mu"] = rational_str(args.mu)
-        payload["roots_admissible"] = admissible
-        payload["torsion_value"] = rational_str(
-            classifier.torsion_value(m, args.mu))
+        payload["mu"] = args.mu
+        payload["roots_admissible"] = all(x in roots for x in m.values)
+        payload["torsion_value"] = classifier.torsion_value(m, args.mu)
     payload["passed"] = passed
-    return payload, passed
+    return payload
 
 
 def cmd_values(args):
     mu = args.mu
-    table = classifier.torsion_value_enumeration(mu)
     fibers = classifier.torsion_value_fibers(mu)
-    expected = ({Fraction(0): 3, mu / 2: 3, -mu / 2: 1, mu: 1} if mu
-                else {Fraction(0): 8})
-    passed = fibers == expected
-    payload = {
+    return {
         "command": "values",
-        "mu": rational_str(mu),
+        "mu": mu,
         "assignments": [
-            {"m": [rational_str(x) for x in pattern],
-             "value": rational_str(val)}
-            for pattern, val in sorted(table.items())
+            {"m": pattern, "value": val}
+            for pattern, val in sorted(
+                classifier.torsion_value_enumeration(mu).items())
         ],
-        "fibers": {rational_str(v): n for v, n in sorted(fibers.items())},
-        "passed": passed,
+        "fibers": dict(sorted(fibers.items())),
+        "passed": fibers == classifier.expected_fibers(mu),
     }
-    return payload, passed
 
 
 def cmd_kernels(args):
     dims = {k: classifier.kernel_dims(k) for k in (1, 2, 3, 4)}
-    pinned = {1: 27, 3: 14, 4: 9}
-    passed = all(dims[k] == v for k, v in pinned.items())
-    payload = {
+    pinned = classifier.PINNED_KERNEL_DIMS
+    return {
         "command": "kernels",
-        "dims": {str(k): v for k, v in dims.items()},
-        "pinned": {str(k): v for k, v in pinned.items()},
-        "passed": passed,
+        "dims": dims,
+        "pinned": pinned,
+        "passed": all(dims[k] == v for k, v in pinned.items()),
     }
-    return payload, passed
 
 
 def cmd_det_e2(args):
@@ -175,10 +159,9 @@ def cmd_det_e2(args):
     try:
         report = classifier.det_e2(b, mu)
     except AssertionError as exc:
-        payload = {"command": "det-e2", "b": rational_str(b),
-                   "mu": rational_str(mu), "error": str(exc), "passed": False}
-        return payload, False
-    payload = exact_json({
+        return {"command": "det-e2", "b": b, "mu": mu, "error": str(exc),
+                "passed": False}
+    return {
         "command": "det-e2",
         "b": b,
         "mu": mu,
@@ -188,23 +171,21 @@ def cmd_det_e2(args):
         "det6": report["det6"],
         "cross_checked": report["member"] is not None,
         "passed": True,
-    })
-    return payload, True
+    }
 
 
 def cmd_group_report(args):
     algebra = parse_algebra(_read(args.algebra_file), n=7)
     report = pipeline.run(algebra, placement=args.placement)
-    payload = {"command": "group-report", "input": args.algebra_file}
-    payload.update(report.to_dict())
-    return payload, report.passed
+    return {"command": "group-report", "input": args.algebra_file,
+            **report.to_dict()}
 
 
 def cmd_kahler(args):
     import numpy as np
 
     from .bundle import (eigenvalue_multiplicity_gap, kahler_coframe,
-                         kahler_ricci_eigenvalues)
+                         kahler_ricci_deviation, kahler_ricci_eigenvalues)
     from .liouville import solve_liouville
 
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
@@ -213,25 +194,22 @@ def cmd_kahler(args):
     points = cf.sample_points(rng, args.points)
     eigs = kahler_ricci_eigenvalues(cf, points)
     target = 4.0 * args.a * args.a
-    want = np.array([0.0, 0.0, target, target])
-    deviation = float(np.max(np.abs(eigs - want)))
-    passed = deviation <= args.tol
-    payload = {
+    deviation = kahler_ricci_deviation(eigs, args.a)
+    return {
         "command": "kahler",
-        "a": sci(args.a),
-        "domain": [sci(x) for x in args.domain],
+        "a": args.a,
+        "domain": args.domain,
         "grid": args.grid,
         "points": args.points,
-        "solver_residual": sci(sol.residual_norm),
-        "target": sci(target),
-        "eigenvalues": [[sci(x) for x in row] for row in eigs],
-        "max_deviation": sci(deviation),
+        "solver_residual": sol.residual_norm,
+        "target": target,
+        "eigenvalues": eigs.tolist(),
+        "max_deviation": deviation,
         "multiplicity_gap": bool(args.a == 0.0
                                  or eigenvalue_multiplicity_gap(eigs, target)),
-        "tolerance": sci(args.tol),
-        "passed": passed,
+        "tolerance": args.tol,
+        "passed": deviation <= args.tol,
     }
-    return payload, passed
 
 
 def cmd_theorem1(args):
@@ -244,38 +222,35 @@ def cmd_theorem1(args):
     try:
         bundle = assemble_N5(sol)
     except ValueError as exc:
-        payload = {"command": "theorem1", "a": sci(args.a),
-                   "error": str(exc), "passed": False}
-        return payload, False
+        return {"command": "theorem1", "a": args.a, "error": str(exc),
+                "passed": False}
     rng = np.random.default_rng(args.seed)
     points = bundle.total.sample_points(rng, args.points)
     rep = strominger_check(bundle, points)
-    passed = rep.passed(args.tol)
     panel = bundle.panel
-    payload = {
+    return {
         "command": "theorem1",
-        "a": sci(args.a),
+        "a": args.a,
         "grid": args.grid,
         "points": rep.points,
-        "mu": sci(bundle.mu),
+        "mu": bundle.mu,
         "hypotheses": {
-            "d_omega": sci(panel.d_omega),
-            "dstar_omega": sci(panel.dstar_omega),
-            "omega_wedge_omega": sci(panel.omega_wedge_omega),
-            "f2_integrability": sci(panel.f2_integrability),
-            "e2_integrability": sci(panel.e2_integrability),
-            "snap_deviation": sci(panel.snap_deviation),
-            "ricci_deviation": sci(panel.ricci_deviation),
-            "potential_residual": sci(panel.potential_residual),
+            "d_omega": panel.d_omega,
+            "dstar_omega": panel.dstar_omega,
+            "omega_wedge_omega": panel.omega_wedge_omega,
+            "f2_integrability": panel.f2_integrability,
+            "e2_integrability": panel.e2_integrability,
+            "snap_deviation": panel.snap_deviation,
+            "ricci_deviation": panel.ricci_deviation,
+            "potential_residual": panel.potential_residual,
         },
-        "residuals": {k: sci(v) for k, v in rep.residual_items().items()},
-        "max_r_nabla": sci(rep.max_r_nabla),
+        "residuals": rep.residual_items(),
+        "max_r_nabla": rep.max_r_nabla,
         "non_flat": rep.non_flat,
-        "tolerance": sci(args.tol),
-        "torsion_norm_tolerance": sci(TORSION_NORM_TOL),
-        "passed": passed,
+        "tolerance": args.tol,
+        "torsion_norm_tolerance": TORSION_NORM_TOL,
+        "passed": rep.passed(args.tol),
     }
-    return payload, passed
 
 
 # ------------------------------------------------------------ selftest
@@ -297,21 +272,21 @@ def _selftest_items():
     yield "traceless part annihilates the canonical spinor", ann, ""
 
     mu = Fraction(7)
-    hi, lo = Fraction(6, 7) * mu, Fraction(-8, 7) * mu
-    fam_ok = True
-    for pattern in ((hi, hi, hi), (lo, hi, hi), (hi, lo, hi), (lo, lo, lo)):
-        m = classifier.EigenTriple(*pattern)
-        fam = classifier.solve_family(m)
-        if fam.dimension != 9 or fam.a != m.a() or fam.b != m.b() or fam.c != 0:
-            fam_ok = False
+    hi, lo = classifier.root_pair(mu)
+    fam_ok = all(classifier.solve_family(classifier.EigenTriple(*pattern))
+                 .matches_lemma()
+                 for pattern in ((hi, hi, hi), (lo, hi, hi), (hi, lo, hi),
+                                 (lo, lo, lo)))
     yield "eigenvalue families have dimension 9 with matching invariants", fam_ok, ""
 
-    dims = tuple(classifier.kernel_dims(k) for k in (1, 3, 4))
-    yield "annihilator dimensions (27, 14, 9)", dims == (27, 14, 9), str(dims)
+    pinned = tuple(classifier.PINNED_KERNEL_DIMS.values())
+    dims = tuple(classifier.kernel_dims(k) for k in classifier.PINNED_KERNEL_DIMS)
+    yield f"annihilator dimensions {pinned}", dims == pinned, str(dims)
 
     fibers = classifier.torsion_value_fibers(mu)
-    want = {Fraction(0): 3, mu / 2: 3, -mu / 2: 1, mu: 1}
-    yield ("torsion value fibers {1, 3, 3, 1}", fibers == want,
+    want = classifier.expected_fibers(mu)
+    counts = ", ".join(str(n) for _, n in sorted(want.items()))
+    yield (f"torsion value fibers {{{counts}}}", fibers == want,
            ", ".join(f"{rational_str(v)}: {n}" for v, n in sorted(fibers.items())))
 
     det_ok = True
@@ -354,15 +329,15 @@ def _selftest_items():
 
     import numpy as np
 
-    from .bundle import (assemble_N5, kahler_coframe, kahler_ricci_eigenvalues,
-                         strominger_check)
+    from .bundle import (assemble_N5, kahler_coframe, kahler_ricci_deviation,
+                         kahler_ricci_eigenvalues, strominger_check)
     from .liouville import solve_liouville
 
     sol = solve_liouville(0.5, n=400)
     cf = kahler_coframe(sol)
     pts = cf.sample_points(np.random.default_rng(1), 5)
     eigs = kahler_ricci_eigenvalues(cf, pts)
-    dev = float(np.max(np.abs(eigs - np.array([0, 0, 1.0, 1.0]))))
+    dev = kahler_ricci_deviation(eigs, 0.5)
     yield "Kaehler Ricci spectrum", dev < 1e-6, f"deviation {dev:.2e}"
 
     bundle = assemble_N5(sol)
@@ -373,13 +348,10 @@ def _selftest_items():
 
 
 def cmd_selftest(args):
-    items = []
-    passed = True
-    for name, ok, witness in _selftest_items():
-        items.append({"name": name, "passed": bool(ok), "witness": witness})
-        passed = passed and bool(ok)
-    payload = {"command": "selftest", "items": items, "passed": passed}
-    return payload, passed
+    items = [ChecklistItem(name, bool(ok), witness)
+             for name, ok, witness in _selftest_items()]
+    return {"command": "selftest", "items": items,
+            "passed": all(item.passed for item in items)}
 
 
 # ------------------------------------------------------------ parsing
@@ -451,7 +423,8 @@ def build_parser():
 
 
 def _check_args(args) -> None:
-    """Input checks argparse does not express; each exits with code 2.
+    """Input checks argparse does not express; each raises ValueError, so
+    the command exits with code 2.
 
     Also turns a --placement list into a tuple of ints.
     """
@@ -459,22 +432,22 @@ def _check_args(args) -> None:
         if args.placement:
             fields = args.placement.split(",")
             if not all(re.fullmatch(r"[0-9]+", x) for x in fields):
-                raise SystemExit(f"error: bad --placement {args.placement!r}: "
+                raise ValueError(f"bad --placement {args.placement!r}: "
                                  "fields must be ASCII digits")
             args.placement = tuple(int(x) for x in fields)
         else:
             args.placement = None
     elif args.command in ("kahler", "theorem1"):
         if not math.isfinite(args.a):
-            raise SystemExit("error: --a must be finite")
+            raise ValueError("--a must be finite")
         if not all(math.isfinite(x) for x in args.domain):
-            raise SystemExit("error: --domain must be finite")
+            raise ValueError("--domain must be finite")
         if not (math.isfinite(args.tol) and args.tol > 0):
-            raise SystemExit("error: --tol must be finite and positive")
+            raise ValueError("--tol must be finite and positive")
         if args.grid < 4:
-            raise SystemExit("error: --grid must be at least 4")
+            raise ValueError("--grid must be at least 4")
         if args.points < 1:
-            raise SystemExit("error: --points must be at least 1")
+            raise ValueError("--points must be at least 1")
 
 
 DISPATCH = {
@@ -494,12 +467,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        payload, passed = DISPATCH[args.command](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
+        payload = DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -508,7 +476,7 @@ def main(argv=None) -> int:
         emit({"command": args.command, "error": str(exc), "passed": False}, args)
         return 1
     emit(payload, args)
-    return 0 if passed else 1
+    return 0 if payload["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -205,8 +205,19 @@ class LiouvilleConfig:
             raise ValueError("empty domain")
         if self.a < 0:
             raise ValueError("parameter a must be nonnegative")
+        if not math.isfinite(8.0 * self.a * self.a):
+            raise ValueError(f"parameter a = {self.a!r} is out of range: "
+                             "8 a^2 is not finite")
         if self.n < 4:
             raise ValueError("grid too coarse")
+        # the second differences divide by h^2 on n and on 2n intervals
+        width = self.x1 - self.x0
+        for m in (self.n, 2 * self.n):
+            h2 = (width / m) * (width / m)
+            if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+                raise ValueError(f"domain [{self.x0!r}, {self.x1!r}] on {m} "
+                                 "intervals gives a spacing h with h^2 or "
+                                 "1/h^2 out of range")
 
 
 @dataclass

@@ -52,26 +52,36 @@ def form_mapping(form: Form | None) -> dict:
             for idx, v in sorted(form.coeffs.items())}
 
 
-def exact_json(x):
-    """JSON view of an exact value: forms as mappings, rationals as 'p/q',
-    tuples and lists (matrices, placements) as lists, dicts entrywise; None,
-    bools, ints and strings unchanged."""
-    if isinstance(x, Form):
-        return form_mapping(x)
-    if isinstance(x, Fraction):
-        return rational_str(x)
-    if isinstance(x, (tuple, list)):
-        return [exact_json(v) for v in x]
-    if isinstance(x, dict):
-        return {k: exact_json(v) for k, v in x.items()}
-    return x
-
-
 @dataclass(frozen=True)
 class ChecklistItem:
     name: str
     passed: bool
     witness: str
+
+
+def exact_json(x):
+    """The one renderer of CLI payloads.
+
+    Forms become digit-keyed mappings, rationals 'p/q' strings, floats
+    12-significant-digit scientific strings, checklist items
+    {name, passed, witness} objects, tuples and lists lists, and dicts are
+    rendered entrywise with string keys (a rational key as 'p/q'); None,
+    bools, ints and strings pass unchanged.
+    """
+    if isinstance(x, Form):
+        return form_mapping(x)
+    if isinstance(x, Fraction):
+        return rational_str(x)
+    if isinstance(x, float):
+        return f"{x:.11e}"
+    if isinstance(x, ChecklistItem):
+        return {"name": x.name, "passed": x.passed, "witness": x.witness}
+    if isinstance(x, (tuple, list)):
+        return [exact_json(v) for v in x]
+    if isinstance(x, dict):
+        return {rational_str(k) if isinstance(k, Fraction) else str(k):
+                exact_json(v) for k, v in x.items()}
+    return x
 
 
 @dataclass
@@ -134,10 +144,7 @@ class G2Report:
             "reconstruction_literal": self.reconstruction_literal,
             "reconstruction_overcount": self.reconstruction_overcount or {},
             "passed": self.passed,
-            "checklist": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.checklist
-            ],
+            "checklist": self.checklist,
         })
 
 

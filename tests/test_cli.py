@@ -286,6 +286,23 @@ def test_non_finite_inputs_are_usage_errors(command, argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["kahler", "theorem1"])
+@pytest.mark.parametrize("argv, message", [
+    (["--a", "1e200"], "parameter a = 1e+200 is out of range: 8 a^2 is not finite"),
+    (["--domain", "1", "1e200"], "h^2 or 1/h^2 out of range"),
+    (["--domain", "1e-300", "3e-300"], "h^2 or 1/h^2 out of range"),
+])
+def test_out_of_range_solver_inputs_are_usage_errors(command, argv, message,
+                                                      capsys):
+    """Finite arguments whose 8 a^2 or grid spacing squared overflows or
+    underflows exit 2 with a message, not with an arithmetic exception."""
+    code = main([command] + argv + ["--grid", "50", "--points", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
 @pytest.mark.parametrize("grid", ["200", "400", "800", "1600"])
 def test_supercritical_solve_exits_1_on_every_grid(command, grid, capsys):
     """At a = 1.0 no solution exists; a singular or non-finite Newton

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from g2torsion.forms import Form, basis_indices, form_to_vector, parse_form, format_form
 from g2torsion.g2 import standard_omega3
 
-from .util import forms, perm_parity, small_fractions, vectors
+from .util import (forms, perm_parity, random_rotation, small_fractions,
+                   vectors)
 
 
 def oracle_hodge(form):
@@ -117,10 +118,8 @@ def test_sigma_known_value_two_terms():
 def test_sigma_is_frame_independent(t):
     import numpy as np
 
-    from g2torsion import linalg
-
     rng = np.random.default_rng(3)
-    q = linalg.random_rotation(7, rng)
+    q = random_rotation(7, rng)
     assert t.sigma(frame=q) == t.sigma()
 
 
@@ -128,9 +127,7 @@ def test_sigma_is_frame_independent(t):
 def test_pullback_by_rotation_preserves_inner_products(t):
     import numpy as np
 
-    from g2torsion import linalg
-
-    q = linalg.random_rotation(7, np.random.default_rng(5))
+    q = random_rotation(7, np.random.default_rng(5))
     assert t.pullback(q).norm2() == t.norm2()
 
 

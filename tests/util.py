@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from g2torsion.forms import Form, basis_indices
+from g2torsion.linalg import identity, matmul, transpose
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -44,3 +45,43 @@ def rational_matrix(n, coeffs=small_fractions):
 
 def as_fraction_vector(values):
     return [Fraction(v) for v in values]
+
+
+def is_orthogonal(q):
+    n = len(q)
+    return matmul(transpose(q), q) == identity(n)
+
+
+# a few exact Pythagorean cos/sin pairs for building rational rotations
+_PYTH = [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(5, 13), Fraction(12, 13)),
+    (Fraction(8, 17), Fraction(15, 17)),
+    (Fraction(7, 25), Fraction(24, 25)),
+    (Fraction(20, 29), Fraction(21, 29)),
+    (Fraction(9, 41), Fraction(40, 41)),
+]
+
+
+def plane_rotation(n, i, j, c, s):
+    q = identity(n)
+    q[i][i] = c
+    q[j][j] = c
+    q[i][j] = -s
+    q[j][i] = s
+    return q
+
+
+def random_rotation(n, rng, steps=6):
+    """Exactly orthogonal rational matrix: product of Pythagorean plane rotations."""
+    q = identity(n)
+    for _ in range(steps):
+        i = int(rng.integers(0, n))
+        j = int(rng.integers(0, n - 1))
+        if j >= i:
+            j += 1
+        c, s = _PYTH[int(rng.integers(0, len(_PYTH)))]
+        if rng.integers(0, 2):
+            s = -s
+        q = matmul(q, plane_rotation(n, i, j, c, s))
+    return q
