@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 from . import linalg
 from .forms import Form, basis_indices, form_to_vector, vector_to_form
@@ -397,32 +397,38 @@ def branch1_member(mu, v1, v2, v3):
 def quadric_member(b, mu):
     """Some rational (A,B,C,D) with A+D = b + 2mu/7 and norm constraint mu^2.
 
-    Searches a small set of rational parameterizations; returns None when no
-    rational point is found (the quadric need not have one for arbitrary b).
+    Searches B = bnum/den, C = cnum/den over a small grid for a rational
+    square w^2 = t - 4B^2 - 4C^2, where t = 2mu^2 - (A+D)^2 = n/d; returns
+    None when no point is found (the quadric need not have one for arbitrary
+    b).  The search runs on integers: w^2 = (n den^2 - 4d(bnum^2 + cnum^2))
+    / (d den^2), reduced by the gcd and tested part by part with isqrt.
     """
     b, mu = frac(b), frac(mu)
     s = b + Fraction(2, 7) * mu
     target = 2 * mu * mu - s * s     # w^2 + 4B^2 + 4C^2 with w = A - D
     if target < 0:
         return None
+    n, d = target.numerator, target.denominator
     for den in (1, 2, 3, 4, 5, 6, 7, 8, 10, 14):
+        top = n * den * den
+        bottom = d * den * den
         for bnum in range(0, 30):
-            B = Fraction(bnum, den)
-            if 4 * B * B > target:
+            rest = top - 4 * d * bnum * bnum
+            if rest < 0:
                 break
             for cnum in range(0, 30):
-                C = Fraction(cnum, den)
-                w2 = target - 4 * B * B - 4 * C * C
-                if w2 < 0:
+                num = rest - 4 * d * cnum * cnum
+                if num < 0:
                     break
-                # w^2 must be a rational square
-                rn, rd = isqrt(w2.numerator), isqrt(w2.denominator)
-                if rn * rn != w2.numerator or rd * rd != w2.denominator:
+                # w^2 = num / bottom must be a rational square
+                g = gcd(num, bottom)
+                wn, wd = num // g, bottom // g
+                rn, rd = isqrt(wn), isqrt(wd)
+                if rn * rn != wn or rd * rd != wd:
                     continue
                 w = Fraction(rn, rd)
-                A = (s + w) / 2
-                D = (s - w) / 2
-                return (A, B, C, D)
+                return ((s + w) / 2, Fraction(bnum, den), Fraction(cnum, den),
+                        (s - w) / 2)
     return None
 
 

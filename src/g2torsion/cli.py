@@ -448,6 +448,8 @@ def _check_args(args) -> None:
             raise ValueError("--grid must be at least 4")
         if args.points < 1:
             raise ValueError("--points must be at least 1")
+        if args.seed < 0:
+            raise ValueError("--seed must be a non-negative integer")
 
 
 DISPATCH = {

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain lists of lists of fractions.Fraction.  The
-matrices involved are small (at most ~60 x 35), so dense Gaussian elimination
-with exact pivoting is entirely adequate and keeps every downstream result
-exact.
+matrices involved are small (at most ~60 x 36).  The reduced row echelon form,
+which answers every rank, kernel, affine-solve and span question, is computed
+fraction-free on Python ints and converted to Fractions once at the end;
+`det` and `charpoly` work in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,8 +94,28 @@ def trace(a):
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = mat_copy(m)
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Fraction-free: each row is scaled by the lcm of its denominators to a row
+    of Python ints, and eliminated by integer row operations
+    r_i <- p r_i - f r_pivot, each new row divided by the gcd of its entries.
+    Pivot row i ends as a multiple of the reduced row, and becomes Fractions
+    only on the final division by its pivot.  The pivot is the first nonzero
+    entry at or below the current row, as in Fraction Gauss-Jordan.
+    """
+    r = []
+    for row in m:
+        if not any(row):
+            r.append([0] * len(row))
+            continue
+        dens = [x.denominator for x in row]
+        den = lcm(*dens)
+        if den == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (den // d) for x, d in zip(row, dens)]
+        g = gcd(*ints)
+        r.append([x // g for x in ints] if g > 1 else ints)
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
@@ -102,23 +123,30 @@ def rref(m):
     for pc in range(cols):
         piv = None
         for i in range(pr, rows):
-            if r[i][pc] != 0:
+            if r[i][pc]:
                 piv = i
                 break
         if piv is None:
             continue
         r[pr], r[piv] = r[piv], r[pr]
-        inv = ONE / r[pr][pc]
-        r[pr] = [x * inv for x in r[pr]]
+        prow = r[pr]
+        p = prow[pc]
         for i in range(rows):
-            if i != pr and r[i][pc] != 0:
-                f = r[i][pc]
-                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
+            f = r[i][pc]
+            if f and i != pr:
+                row = [p * x - f * y for x, y in zip(r[i], prow)]
+                g = gcd(*row)
+                r[i] = [x // g for x in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == rows:
             break
-    return r, pivots
+    out = []
+    for row, pc in zip(r, pivots):
+        p = row[pc]
+        out.append([Fraction(x, p) if x else ZERO for x in row])
+    out.extend([ZERO] * cols for _ in range(rows - pr))
+    return out, pivots
 
 
 def rank(m):

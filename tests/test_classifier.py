@@ -5,7 +5,10 @@ for determinants of skew 4x4 matrices, and direct evaluation of the closed
 forms on small rational grids.
 """
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,12 @@ from g2torsion import linalg
 from g2torsion.forms import Form
 from g2torsion.g2 import standard_omega3
 
-from .util import nonzero_fractions, small_fractions
+from .util import (nonzero_fractions, reference_quadric_member, reference_rref,
+                   small_fractions)
+
+#: reference_quadric_member over seeded_det_e2_inputs(2000); rebuild with
+#: PYTHONPATH=src python -m tests.test_classifier
+QUADRIC_TABLE = Path(__file__).parent / "data" / "quadric_members.json"
 
 
 def pfaffian4(m):
@@ -70,6 +78,23 @@ def test_lemma_member_dependent_coefficients():
     assert member[(2, 4, 5)] == 1 - Fraction(1, 2)
     assert member[(5, 6, 7)] == -2 - 2
     assert member[(1, 2, 7)] == -2 + 2  # -m1/2 - b
+
+
+def test_eigen_system_rref_matches_fraction_gauss_jordan(monkeypatch):
+    """The eliminations behind solve_family, checked against the reference."""
+    seen = []
+    real = linalg.rref
+
+    def recording(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    cl.solve_family(cl.EigenTriple.of(2, Fraction(-1, 3), 5))
+    monkeypatch.undo()
+    assert seen
+    for m in seen:
+        assert linalg.rref(m) == reference_rref(m)
 
 
 # ---------------------------------------------------------------- kernels
@@ -133,6 +158,54 @@ def test_det_e2_brute_force_and_pfaffian(b, mu):
     m4 = cl.skew_matrix_of_two_form(eta, (3, 4, 5, 6))
     assert report["det4"] == pfaffian4(m4) ** 2 == closed
     assert report["det6"] == 0
+
+
+def seeded_det_e2_inputs(count, seed=1):
+    """(b, mu) pairs drawn like the classifier stream's: +-p/q, p <= 99, q <= 9."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 99), rng.randint(1, 9))
+
+    return [(rational(), rational()) for _ in range(count)]
+
+
+def load_quadric_table():
+    rows = json.loads(QUADRIC_TABLE.read_text())
+    return [(Fraction(b), Fraction(mu),
+             None if member is None else tuple(Fraction(x) for x in member))
+            for b, mu, member in rows]
+
+
+def test_quadric_member_matches_reference_table():
+    """The integer search returns the reference's member on 2,000 inputs."""
+    table = load_quadric_table()
+    assert [(b, mu) for b, mu, _ in table] == seeded_det_e2_inputs(2000)
+    assert sum(member is not None for _, _, member in table) > 200
+    for b, mu, member in table:
+        got = cl.quadric_member(b, mu)
+        assert got == member, (b, mu)
+        if got is not None:
+            assert all(type(x) is Fraction for x in got)
+
+
+def test_quadric_table_is_the_reference_output():
+    for b, mu, member in load_quadric_table()[::50]:
+        assert reference_quadric_member(b, mu) == member, (b, mu)
+
+
+@pytest.mark.parametrize("b, mu", [
+    (100, 7),                           # t < 0: no real point
+    (Fraction(123456789, 7), 7),        # t < 0
+    (1, 0),                             # t = -1
+    (0, 0),                             # t = 0: the member is zero
+    (0, 7),                             # found in the search
+    (1, 7),                             # found with B = 0
+    (Fraction(-3, 2), Fraction(5, 3)),  # t = n/d > 0, n d = 4(8k + 7): none
+    (-6, 61),                           # a rational point the grid misses
+])
+def test_quadric_member_edge_cases_match_reference(b, mu):
+    assert cl.quadric_member(b, mu) == reference_quadric_member(b, mu)
 
 
 def test_det_e2_vanishes_exactly_at_special_ratio():
@@ -220,3 +293,12 @@ def test_omega_identities_quadratic_grid():
                 report = cl.omega_form_identities(member, mu)
                 assert all(v is True for k, v in report.items()
                            if k.startswith(("d_", "flow_", "torsion", "eta")))
+
+
+if __name__ == "__main__":
+    rows = []
+    for b, mu in seeded_det_e2_inputs(2000):
+        member = reference_quadric_member(b, mu)
+        rows.append([str(b), str(mu), member and [str(x) for x in member]])
+    QUADRIC_TABLE.parent.mkdir(exist_ok=True)
+    QUADRIC_TABLE.write_text("[\n" + ",\n".join(map(json.dumps, rows)) + "\n]\n")

@@ -264,6 +264,23 @@ def test_cli_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("command", ["kahler", "theorem1"])
+def test_negative_seed_is_usage_error(command, capsys, monkeypatch):
+    """A negative --seed exits 2 before any solve, naming the option."""
+    import g2torsion.liouville
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before --seed was checked")
+
+    monkeypatch.setattr(g2torsion.liouville, "solve_liouville", no_solve)
+    code = main([command, "--seed", "-1", "--grid", "200", "--points", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--seed" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
 def test_divergent_solve_exits_1_with_payload(command, capsys):
     code = main([command, "--a", "5", "--grid", "50", "--points", "1",
                  "--format", "json"])

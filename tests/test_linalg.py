@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from g2torsion import linalg
 
 from .util import (is_orthogonal, random_rotation, rational_matrix,
-                   small_fractions, vectors)
+                   reference_rref, small_fractions, vectors)
+
+F = Fraction
 
 
 def cofactor_det(m):
@@ -64,6 +66,53 @@ def test_solve_substitutes_back(m, rhs):
         assert linalg.matvec(m, x) == [Fraction(v) for v in rhs]
         # the kernel read from the augmented elimination is nullspace's, entry for entry
         assert kernel == linalg.nullspace(m)
+
+
+def assert_rref_matches_reference(m):
+    r, pivots = linalg.rref(m)
+    want, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert r == want
+    assert all(type(x) is Fraction for row in r for x in row)
+
+
+@pytest.mark.parametrize("m", [
+    [],                                                     # no rows
+    [[], []],                                               # empty rows
+    [[F(1, 2), F(-3), F(0), F(5, 7), F(2)],                 # wide
+     [F(4), F(1, 3), F(-1), F(0), F(6, 5)]],
+    [[F(1), F(2), F(3)], [F(-1, 2), F(0), F(4)],            # tall
+     [F(2), F(2), F(2)], [F(0), F(7, 3), F(-1)],
+     [F(5), F(-5), F(1, 9)], [F(1), F(1), F(1)]],
+    [[F(1), F(2), F(0), F(3)], [F(0), F(1), F(1), F(1)],    # rank deficient
+     [F(1), F(3), F(1), F(4)], [F(2), F(4), F(0), F(6)]],
+    [[F(0), F(0), F(0)], [F(0), F(3, 4), F(1)],             # zero rows
+     [F(0), F(0), F(0)], [F(2), F(0), F(-1, 6)]],
+    [[F(2, 3), F(1), F(-1)], [F(2, 3), F(1), F(-1)],        # duplicate rows
+     [F(0), F(5), F(1)], [F(0), F(5), F(1)]],
+    [[F(-3), F(1), F(2)], [F(6), F(-7, 2), F(1)],           # negative pivots
+     [F(-1, 5), F(0), F(-4)]],
+    [[F(0), F(0), F(-2)], [F(0), F(-5), F(1)],              # zero leading columns
+     [F(0), F(3), F(3)]],
+    [[F(2), F(1), F(0), F(1, 3)], [F(1, 2), F(-1), F(4), F(0)],  # square, full
+     [F(0), F(3), F(1, 7), F(-2)], [F(5), F(0), F(0), F(1)]],    # rank: early stop
+])
+def test_rref_matches_fraction_gauss_jordan(m):
+    assert_rref_matches_reference(m)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda c: st.lists(vectors(c), min_size=0, max_size=7)))
+def test_rref_matches_reference_on_random_shapes(m):
+    assert_rref_matches_reference(m)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda c: st.lists(vectors(c), min_size=1, max_size=3).flatmap(
+        lambda base: st.lists(st.sampled_from(base + [[F(0)] * c]),
+                              min_size=1, max_size=7))))
+def test_rref_matches_reference_with_repeated_and_zero_rows(m):
+    assert_rref_matches_reference(m)
 
 
 def test_charpoly_companion_example():

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from hypothesis import strategies as st
 
 from g2torsion.forms import Form, basis_indices
-from g2torsion.linalg import identity, matmul, transpose
+from g2torsion.linalg import frac, identity, matmul, transpose
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -85,3 +86,62 @@ def random_rotation(n, rng, steps=6):
             s = -s
         q = matmul(q, plane_rotation(n, i, j, c, s))
     return q
+
+
+# Reference implementations in Fraction arithmetic: the library's integer
+# versions must return the same rationals.
+
+
+def reference_rref(m):
+    """Gauss-Jordan over Fraction with first-nonzero pivots: (R, pivots)."""
+    r = [list(row) for row in m]
+    rows = len(r)
+    cols = len(r[0]) if rows else 0
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        piv = None
+        for i in range(pr, rows):
+            if r[i][pc] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        r[pr], r[piv] = r[piv], r[pr]
+        inv = Fraction(1) / r[pr][pc]
+        r[pr] = [x * inv for x in r[pr]]
+        for i in range(rows):
+            if i != pr and r[i][pc] != 0:
+                f = r[i][pc]
+                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return r, pivots
+
+
+def reference_quadric_member(b, mu):
+    """Fraction search for (A, B, C, D) with A + D = b + 2mu/7 and
+    (A - D)^2 + 4B^2 + 4C^2 = 2mu^2 - (A + D)^2, or None."""
+    b, mu = frac(b), frac(mu)
+    s = b + Fraction(2, 7) * mu
+    target = 2 * mu * mu - s * s
+    if target < 0:
+        return None
+    for den in (1, 2, 3, 4, 5, 6, 7, 8, 10, 14):
+        for bnum in range(0, 30):
+            B = Fraction(bnum, den)
+            if 4 * B * B > target:
+                break
+            for cnum in range(0, 30):
+                C = Fraction(cnum, den)
+                w2 = target - 4 * B * B - 4 * C * C
+                if w2 < 0:
+                    break
+                rn, rd = isqrt(w2.numerator), isqrt(w2.denominator)
+                if rn * rn != w2.numerator or rd * rd != w2.denominator:
+                    continue
+                w = Fraction(rn, rd)
+                return ((s + w) / 2, B, C, (s - w) / 2)
+    return None
