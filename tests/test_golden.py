@@ -71,6 +71,12 @@ NUMERIC = [
      ["kahler", "--seed", "3", "--points", "4", "--grid", "200"], 0),
     ("theorem1_seed_5",
      ["theorem1", "--seed", "5", "--points", "4", "--grid", "200"], 0),
+    ("theorem1_a045_grid800",
+     ["theorem1", "--a", "0.45", "--grid", "800", "--points", "10"], 0),
+    ("kahler_a005_grid1600",
+     ["kahler", "--a", "0.05", "--grid", "1600", "--points", "40"], 0),
+    # the boundary value problem folds: exit 1 with a passed: false payload
+    ("theorem1_diverged_a09", ["theorem1", "--a", "0.9"], 1),
 ]
 
 
