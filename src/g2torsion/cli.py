@@ -205,8 +205,7 @@ def cmd_kahler(args):
         "target": target,
         "eigenvalues": eigs.tolist(),
         "max_deviation": deviation,
-        "multiplicity_gap": bool(args.a == 0.0
-                                 or eigenvalue_multiplicity_gap(eigs, target)),
+        "multiplicity_gap": eigenvalue_multiplicity_gap(eigs, target),
         "tolerance": args.tol,
         "passed": deviation <= args.tol,
     }
@@ -428,6 +427,8 @@ def _check_args(args) -> None:
 
     Also turns a --placement list into a tuple of ints.
     """
+    if [] in vars(args).values():     # argparse reads --opt=-- as no value
+        raise ValueError("an option was given '--' as its value")
     if args.command == "group-report":
         if args.placement:
             fields = args.placement.split(",")

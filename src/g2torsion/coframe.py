@@ -8,9 +8,10 @@ Levi-Civita coefficients come from the orthonormal-frame Koszul formula, and
 curvature follows from the frame version of R(X,Y) = [nabla_X, nabla_Y] -
 nabla_[X,Y], with directional derivatives taken by central finite differences.
 
-All heavy functions accept an optional frame-constant torsion, a 3-form in
-the orthonormal frame; when given, the connection is the metric connection
-with that skew torsion, nabla = nabla^g + 1/2 T.
+Every finite difference at a point p reads one ``Stencil``: the coframe at p
+and p +- h e_beta, with frame vectors and structure functions of all 2n + 1
+rows from one batched pass; its curvature (optionally with frame-constant skew
+torsion, nabla = nabla^g + 1/2 T) and d share one central difference.
 
 A float k-form on an n-frame, in frame or coordinate components, is a numpy
 vector over ``forms.basis_indices(n, k)``; a change of basis acts on it by
@@ -52,9 +53,11 @@ def _wedge_table(n: int, k: int, l: int):
 
 
 def compound(a: Array, k: int) -> Array:
-    """k-th compound matrix: C[I, J] = det a[I, J] over basis_indices(n, k)."""
-    pos = np.array(basis_indices(a.shape[0], k), dtype=np.intp) - 1
-    return np.linalg.det(a[pos[:, None, :, None], pos[None, :, None, :]])
+    """k-th compound matrix: C[..., I, J] = det a[..., I, J] over basis_indices(n, k)."""
+    pos = np.array(basis_indices(a.shape[-1], k), dtype=np.intp) - 1
+    # C order keeps each C[q] of a stack laid out as the compound of a[q] alone
+    minors = np.ascontiguousarray(a[..., pos[:, None, :, None], pos[None, :, None, :]])
+    return np.linalg.det(minors)
 
 
 def form_wedge(a: Array, b: Array, n: int, k: int, l: int) -> Array:
@@ -75,22 +78,36 @@ def frame_to_coords(components: Array, a_matrix: Array, k: int) -> Array:
     return components @ compound(a_matrix, k)
 
 
-def coords_to_frame(components: Array, a_matrix: Array, k: int) -> Array:
-    """Inverse of frame_to_coords: dx^J = det A^{-1}[J,I] f^I."""
-    return frame_to_coords(components, np.linalg.inv(a_matrix), k)
+def stencil_points(p: Array, h: float) -> Array:
+    """Rows p, then p + h e_beta and p - h e_beta for ascending beta."""
+    beta = np.arange(len(p))
+    pts = np.tile(np.asarray(p, dtype=float), (2 * len(p) + 1, 1))
+    pts[1 + beta, beta] += h
+    pts[1 + len(p) + beta, beta] -= h
+    return pts
+
+
+def central_partials(values: Array, n: int, h: float) -> Array:
+    """d/dx_beta at p, beta ascending, of values given at the stencil rows."""
+    return (values[1:n + 1] - values[n + 1:]) / (2 * h)
+
+
+def central_d(values: Array, n: int, k: int, h: float) -> Array:
+    """Exterior derivative at p of a coordinate k-form from its values at the
+    rows of stencil_points(p, h), by central differences.
+
+    d alpha = sum_beta dx^beta ^ (d alpha / dx^beta), summed in ascending beta.
+    """
+    partials = central_partials(values, n, h)
+    left, right, out, sign = _wedge_table(n, 1, k)
+    return np.bincount(out, weights=sign * partials[left, right],
+                       minlength=math.comb(n, k + 1))
 
 
 def numeric_d(form_fn: Callable[[Array], Array], n: int, k: int, p: Array,
               h: float = 1e-5) -> Array:
-    """Exterior derivative of a coordinate k-form field by central FD.
-
-    d alpha = sum_beta dx^beta ^ (d alpha / dx^beta), summed in ascending beta.
-    """
-    partials = np.array([(form_fn(p + step) - form_fn(p - step)) / (2 * h)
-                         for step in h * np.eye(n)])
-    left, right, out, sign = _wedge_table(n, 1, k)
-    return np.bincount(out, weights=sign * partials[left, right],
-                       minlength=math.comb(n, k + 1))
+    """Exterior derivative of a coordinate k-form field by central FD."""
+    return central_d(np.array([form_fn(q) for q in stencil_points(p, h)]), n, k, h)
 
 
 # ------------------------------------------------------------ coframes
@@ -130,10 +147,6 @@ class CoframeField:
             out[:, :, k] = (self.coeff(pp) - self.coeff(pm)) / (2 * h)
         return out
 
-    def dual(self, p: Array) -> Array:
-        """E with e_j = sum_beta E[beta, j] d/dx_beta (columns are frame vectors)."""
-        return np.linalg.inv(self.coeff(p))
-
     def sample_points(self, rng, count, margin_frac=0.1):
         pts = []
         for _ in range(count):
@@ -143,40 +156,42 @@ class CoframeField:
         return pts
 
 
+def _structure(cf: CoframeField, pts: Array):
+    """Coframe matrices A, frame vectors E = A^{-1} (e_j = sum_beta
+    E[beta, j] d/dx_beta) and structure functions c at each row of pts."""
+    a = np.array([cf.coeff(q) for q in pts])
+    if np.any(np.abs(np.linalg.det(a)) < 1e-12):
+        raise ValueError("coframe matrix is singular at the sample point")
+    e = np.linalg.inv(a)
+    jac = np.array([cf.jacobian(q) for q in pts])  # [q, i, alpha, beta] = dA_{i alpha}/dx_beta
+    # m[q, i, j, k] = (e_j A_{i alpha}) e[alpha, k]
+    m = np.einsum("piab,pbj,pak->pijk", jac, e, e)
+    return a, e, m.swapaxes(-1, -2) - m
+
+
 def structure_functions(cf: CoframeField, p: Array) -> Array:
     """c[i, j, k] = c^i_{jk} with df^i = -1/2 c^i_{jk} f^j wedge f^k."""
-    p = np.asarray(p, dtype=float)
-    a = cf.coeff(p)
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise ValueError("coframe matrix is singular at the sample point")
-    e = np.linalg.inv(a)               # e[beta, j]: frame vectors in coords
-    jac = cf.jacobian(p)               # jac[i, alpha, beta] = dA_{i alpha}/dx_beta
-    # m[i, j, k] = (e_j A_{i alpha}) e[alpha, k]
-    m = np.einsum("iab,bj,ak->ijk", jac, e, e)
-    return m.transpose(0, 2, 1) - m
+    return _structure(cf, np.asarray(p, dtype=float)[None])[2][0]
 
 
 def levi_civita_cartan(c: Array) -> Array:
-    """gamma[i, j, k] = <nabla_{e_i} e_j, e_k> from the Koszul formula.
+    """gamma[..., i, j, k] = <nabla_{e_i} e_j, e_k> from the Koszul formula.
 
     With lowered structure functions cl_{ijk} = c^k_{ij}:
     gamma_{ijk} = (cl_{ijk} - cl_{jki} + cl_{kij}) / 2; skew in (j, k).
     """
-    cl = np.transpose(c, (1, 2, 0))
-    gamma = 0.5 * (cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0)))
-    return gamma
+    cl = np.moveaxis(c, -3, -1)
+    return 0.5 * (cl - np.moveaxis(cl, -1, -3) + np.moveaxis(cl, -3, -1))
 
 
-def connection_coefficients(c: Array, torsion: Array | None = None) -> Array:
+def connection_coefficients(c: Array, t: Array | None = None) -> Array:
     """gamma of the metric connection of a frame with structure functions c,
-    with optional frame-constant skew torsion."""
+    with optional frame-constant skew torsion t[i, j, k] = T(e_i, e_j, e_k)."""
     gamma = levi_civita_cartan(c)
-    if torsion is not None:
-        gamma = gamma + 0.5 * _skew_tensor(torsion, len(c))
-    return gamma
+    return gamma if t is None else gamma + 0.5 * t
 
 
-def _skew_tensor(torsion: Array, n: int) -> Array:
+def skew_tensor(torsion: Array, n: int) -> Array:
     """Dense t[i, j, k] = T(e_i, e_j, e_k) of a float 3-form on an n-frame."""
     t = np.zeros((n, n, n))
     for idx, v in zip(basis_indices(n, 3), torsion):
@@ -203,55 +218,60 @@ class CurvatureReport:
         return float(np.max(np.abs(self.ric)))
 
 
+class Stencil:
+    """A coframe at p and at p +- h e_beta (rows of stencil_points), with the
+    coframe matrices ``a``, frame vectors ``e`` and structure functions ``c``
+    of every row; row 0 is p.  h defaults to the coframe's step."""
+
+    def __init__(self, cf: CoframeField, p: Array, h: float | None = None):
+        self.n = cf.n
+        self.h = cf.h if h is None else h
+        self.a, self.e, self.c = _structure(cf, stencil_points(p, self.h))
+
+    def d(self, values: Array, k: int) -> Array:
+        """d at p of a coordinate k-form given by its values at the rows."""
+        return central_d(values, self.n, k, self.h)
+
+    def curvature(self, t: Array | None = None,
+                  symmetry_tol: float = 1e-6) -> CurvatureReport:
+        """Curvature, Ricci tensor and Ricci eigenvalues at p, for the
+        Levi-Civita connection or, given a dense skew tensor t, the metric
+        connection with that frame-constant torsion.
+
+        R(e_i, e_j) = e_i(M_j) - e_j(M_i) + [M_i, M_j] - c^m_{ij} M_m with
+        (M_i)_{lk} = gamma_{ikl}; Ric_{jk} = sum_i R[i, j, i, k].
+        """
+        n, c = self.n, self.c[0]
+        m = connection_coefficients(self.c, t).swapaxes(-1, -2)  # M[q, i][l][k]
+        m0 = m[0]
+        # coordinate partials of the M field, then convert to frame directions
+        partials = central_partials(m, n, self.h)
+        # dm[i, j] = directional derivative of M_j along the frame vector e_i
+        dm = np.einsum("bjlk,bi->ijlk", partials, self.e[0])
+        prod = m0[:, None] @ m0[None, :]   # prod[i, j] = M_i M_j
+        riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
+        for mm in range(n):                # nonzero c^m_{ij} only, m ascending
+            i, j = np.nonzero(c[mm])
+            riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
+        ric = np.einsum("ijik->jk", riemann)
+        sym_err = float(np.max(np.abs(ric - ric.T)))
+        if sym_err > symmetry_tol and t is None:
+            raise ValueError(
+                f"Ricci asymmetry {sym_err:.3e} exceeds {symmetry_tol:.1e}; "
+                "step too large or point too close to the domain edge")
+        eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
+        return CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
+
+
 def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
                   h: float | None = None, symmetry_tol: float = 1e-6) -> CurvatureReport:
-    """Curvature, Ricci tensor and Ricci eigenvalues at an interior point.
-
-    R(e_i, e_j) = e_i(M_j) - e_j(M_i) + [M_i, M_j] - c^m_{ij} M_m with
-    (M_i)_{lk} = gamma_{ikl}; Ric_{jk} = sum_i R[i, j, i, k].
-    """
-    p = np.asarray(p, dtype=float)
-    h = h if h is not None else cf.h
-    n = cf.n
-    c = structure_functions(cf, p)
-    half_t = None if torsion is None else 0.5 * _skew_tensor(torsion, n)
-
-    def m_matrices(c_q):
-        g = levi_civita_cartan(c_q)
-        if half_t is not None:
-            g = g + half_t
-        return g.transpose(0, 2, 1)    # M[i][l][k] = gamma_{ikl}
-
-    m0 = m_matrices(c)
-    # coordinate partials of the M field, then convert to frame directions
-    partials = np.zeros((n, n, n, n))  # partials[beta] = dM/dx_beta
-    for beta in range(n):
-        pp, pm = p.copy(), p.copy()
-        pp[beta] += h
-        pm[beta] -= h
-        partials[beta] = (m_matrices(structure_functions(cf, pp))
-                          - m_matrices(structure_functions(cf, pm))) / (2 * h)
-    e = cf.dual(p)
-    # dm[i, j] = directional derivative of M_j along the frame vector e_i
-    dm = np.einsum("bjlk,bi->ijlk", partials, e)
-    prod = m0[:, None] @ m0[None, :]   # prod[i, j] = M_i M_j
-    riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
-    for mm in range(n):                # nonzero c^m_{ij} only, m ascending
-        i, j = np.nonzero(c[mm])
-        riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
-    ric = np.einsum("ijik->jk", riemann)
-    sym_err = float(np.max(np.abs(ric - ric.T)))
-    if sym_err > symmetry_tol and torsion is None:
-        raise ValueError(
-            f"Ricci asymmetry {sym_err:.3e} exceeds {symmetry_tol:.1e}; "
-            "step too large or point too close to the domain edge")
-    eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
-    return CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
+    """Curvature at an interior point p, for an optional frame torsion 3-form."""
+    t = None if torsion is None else skew_tensor(torsion, cf.n)
+    return Stencil(cf, p, h).curvature(t, symmetry_tol)
 
 
-def torsion_ricci(torsion: Array, n: int) -> Array:
-    """(1/4) sum_{i,j} T(x, e_i, e_j) T(y, e_i, e_j) for frame-constant T."""
-    t = _skew_tensor(torsion, n)
+def torsion_ricci(t: Array) -> Array:
+    """(1/4) sum_{i,j} T(x, e_i, e_j) T(y, e_i, e_j) for a dense skew tensor t."""
     return 0.25 * np.einsum("xij,yij->xy", t, t)
 
 

@@ -256,6 +256,55 @@ def test_theorem1_command(capsys):
     assert float(payload["max_r_nabla"]) > 0.01
 
 
+def test_zero_parameter_verdicts_hold_by_measurement(capsys):
+    """At a = 0 the torsion and the Ricci target vanish; the curvature is
+    still visibly nonzero and the eigenvalues still split as {0, 0, 0, 0}."""
+    code, payload = run_json(capsys, ["theorem1", "--a", "0", "--grid", "200",
+                                      "--points", "3"])
+    assert code == 0
+    assert payload["non_flat"] is True
+    assert float(payload["max_r_nabla"]) > 0.01
+    code, payload = run_json(capsys, ["kahler", "--a", "0", "--grid", "200",
+                                      "--points", "3"])
+    assert code == 0
+    assert payload["multiplicity_gap"] is True
+    assert float(payload["target"]) == 0.0
+    assert max(abs(float(x)) for row in payload["eigenvalues"] for x in row) < 1e-9
+
+
+def test_zero_parameter_verdicts_are_not_granted(capsys, monkeypatch):
+    """non_flat and multiplicity_gap report what was measured, also at a = 0:
+    a flat curvature or a failed split reads false."""
+    from g2torsion import bundle, coframe
+
+    monkeypatch.setattr(coframe.CurvatureReport, "max_riemann", property(lambda self: 0.0))
+    code, payload = run_json(capsys, ["theorem1", "--a", "0", "--grid", "200",
+                                      "--points", "3"])
+    assert code == 1
+    assert payload["non_flat"] is False
+    assert payload["passed"] is False
+    monkeypatch.setattr(bundle, "eigenvalue_multiplicity_gap", lambda eigs, target: False)
+    code, payload = run_json(capsys, ["kahler", "--a", "0", "--grid", "200",
+                                      "--points", "3"])
+    assert payload["multiplicity_gap"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--m1=0", "--m2=0", "--m3=--"],
+    ["values", "--mu=--"],
+    ["det-e2", "--b=1", "--mu=--"],
+    ["kahler", "--grid=--"],
+    ["theorem1", "--format=--"],
+])
+def test_double_dash_as_option_value_is_usage_error(argv, capsys):
+    """argparse hands an option written --opt=-- an empty list without
+    calling its type; that is a usage error, not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "'--'" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main(["kahler", "--grid", "notanint"])

@@ -79,7 +79,7 @@ def test_frame_coords_roundtrip():
                  Form(4, {(1, 3, 4): -2})):
         k = form.degree
         coords = co.frame_to_coords(dense(form, k), a, k)
-        back = co.coords_to_frame(coords, a, k)
+        back = co.frame_to_coords(coords, np.linalg.inv(a), k)   # dx^J = det A^-1[J,I] f^I
         assert np.max(np.abs(back - dense(form, k))) < 1e-9
 
 
@@ -129,7 +129,7 @@ def test_torsion_shifts_connection_not_metricity():
 
     charts only through the quadratic correction; here we just pin the
     torsion_ricci formula against an exact hand count."""
-    ric = co.torsion_ricci(np.array([2.0]), 3)     # 2 e123
+    ric = co.torsion_ricci(co.skew_tensor(np.array([2.0]), 3))     # 2 e123
     # T(1, i, j) nonzero for (i,j) = (2,3),(3,2): sum of squares 8, over 4
     assert np.allclose(ric, 2.0 * np.eye(3))
 
@@ -138,7 +138,7 @@ def test_torsion_ricci_matches_exact_module():
     from g2torsion import liegroup as lg
 
     exact = lg.ric_from_torsion(Form(7, {(1, 2, 7): Fraction(7)}))
-    num = co.torsion_ricci(dense(Form(7, {(1, 2, 7): 7}), 3), 7)
+    num = co.torsion_ricci(co.skew_tensor(dense(Form(7, {(1, 2, 7): 7}), 3), 7))
     assert np.allclose(num, np.array([[float(x) for x in row] for row in exact]))
 
 

@@ -1,0 +1,207 @@
+"""The batched coframe stencil against per-call references, bit for bit.
+
+``coframe.Stencil`` samples a coframe at p and p +- h e_beta once and reads
+curvature, structure functions and d from those rows.  The references in
+``tests/util.py`` evaluate the coframe again for every quantity, one point
+at a time.  Every result must be equal as floats, not merely close: the
+float goldens compare finite-difference noise at 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from g2torsion import bundle as bd
+from g2torsion import coframe as co
+from g2torsion.liouville import solve_liouville
+
+from .util import (reference_levi_civita, reference_numeric_d,
+                   reference_riemann_ricci, reference_structure_functions)
+
+BUNDLES = {a: bd.assemble_N5(solve_liouville(a, n=200)) for a in (0.0, 0.25, 0.5)}
+
+
+def frames():
+    """(id, coframe, torsion 3-form or None) for the Kaehler 4-frame and the
+    N^5 5-frame, the latter with and without its torsion."""
+    for a, data in BUNDLES.items():
+        yield f"kahler-{a}", data.base, None
+        yield f"N5-{a}", data.total, None
+        yield f"N5-{a}-torsion", data.total, data.torsion
+
+
+FRAMES = list(frames())
+PLAIN = [case[:2] for case in FRAMES if case[2] is None]
+
+
+@pytest.mark.parametrize("cf, torsion", [case[1:] for case in FRAMES],
+                         ids=[case[0] for case in FRAMES])
+def test_curvature_equals_per_call_reference(cf, torsion):
+    for p in cf.sample_points(np.random.default_rng(17), 6):
+        got = co.riemann_ricci(cf, p, torsion)
+        want = reference_riemann_ricci(cf, p, torsion)
+        for name in ("riemann", "ric", "eigenvalues"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.symmetry_error == want.symmetry_error
+        assert got.scal == want.scal
+        assert np.array_equal(co.structure_functions(cf, p),
+                              reference_structure_functions(cf, p))
+
+
+def test_curvature_with_other_step_equals_reference():
+    cf = BUNDLES[0.5].total
+    for p in cf.sample_points(np.random.default_rng(4), 3):
+        got = co.riemann_ricci(cf, p, BUNDLES[0.5].torsion, h=1e-3)
+        want = reference_riemann_ricci(cf, p, BUNDLES[0.5].torsion, h=1e-3)
+        assert np.array_equal(got.riemann, want.riemann)
+
+
+def test_finite_difference_jacobian_equals_reference():
+    """A coframe without a closed-form jacobian differentiates every stencil
+    row by its own nested finite difference."""
+    sphere = co.sphere_coframe(1.5)
+    cf = co.CoframeField(2, sphere.domain, sphere.matrix, h=1e-4)
+    for p in cf.sample_points(np.random.default_rng(8), 5):
+        got, want = co.riemann_ricci(cf, p), reference_riemann_ricci(cf, p)
+        assert np.array_equal(got.riemann, want.riemann)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+
+@pytest.mark.parametrize("cf", [case[1] for case in PLAIN],
+                         ids=[case[0] for case in PLAIN])
+def test_stencil_d_equals_per_call_reference(cf):
+    """d of coordinate forms read from the stencil rows, for every degree."""
+    n = cf.n
+    for p in cf.sample_points(np.random.default_rng(23), 4):
+        for h in (1e-5, 2e-4):
+            st = co.Stencil(cf, p, h)
+            for k in range(n):
+                comps = np.arange(1.0, math.comb(n, k) + 1)
+
+                def form(q, comps=comps, k=k):
+                    return co.frame_to_coords(comps, cf.coeff(q), k)
+
+                want = reference_numeric_d(form, n, k, p, h)
+                assert np.array_equal(st.d(co.frame_to_coords(comps, st.a, k), k), want)
+                assert np.array_equal(co.numeric_d(form, n, k, p, h), want)
+
+
+def test_stencil_rows_are_the_displaced_points():
+    p = np.array([1.3, -0.2, 0.7])
+    pts = co.stencil_points(p, 1e-5)
+    assert np.array_equal(pts[0], p)
+    for beta in range(3):
+        plus, minus = p.copy(), p.copy()
+        plus[beta] += 1e-5
+        minus[beta] -= 1e-5
+        assert np.array_equal(pts[1 + beta], plus)
+        assert np.array_equal(pts[4 + beta], minus)
+
+
+def test_singular_coframe_is_rejected_at_any_row():
+    """The singularity check covers the displaced rows, not only p."""
+    def matrix(p):
+        return np.diag([1.0, p[0] - 0.5 - 1e-5])
+
+    cf = co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), matrix, h=1e-5)
+    with pytest.raises(ValueError, match="singular"):
+        co.Stencil(cf, np.array([0.5, 0.5]))
+
+
+# ------------------------------------------------------------ bundle reports
+
+
+def reference_panel(cf, a, points, h=1e-5):
+    """hypothesis_panel's residuals from the per-call references."""
+    omega_frame = bd._frame_form(4, (1, 2), 2.0 * a)
+    star_frame = co.form_hodge(omega_frame, 4, 2)
+
+    def omega_coords(p):
+        return co.frame_to_coords(omega_frame, cf.coeff(p), 2)
+
+    def star_coords(p):
+        return co.frame_to_coords(star_frame, cf.coeff(p), 2)
+
+    snap_target = np.diag([1.0, 1.0, 0.0, 0.0])
+    d_omega = dstar = wedge = f2_int = e2_int = snap = ric_dev = 0.0
+    for p in points:
+        d_omega = max(d_omega, np.abs(reference_numeric_d(omega_coords, 4, 2, p, h)).max())
+        dstar = max(dstar, np.abs(reference_numeric_d(star_coords, 4, 2, p, h)).max())
+        oc = omega_coords(p)
+        wedge = max(wedge, np.abs(co.form_wedge(oc, oc, 4, 2, 2)).max())
+        c = reference_structure_functions(cf, p)
+        f2_int = max(f2_int, max(abs(c[m, 0, 1]) for m in (2, 3)))
+        e2_int = max(e2_int, max(abs(c[m, 2, 3]) for m in (0, 1)))
+        if a != 0:
+            rep = reference_riemann_ricci(cf, p)
+            proj = bd._f2_projector(rep.ric, 4.0 * a * a)
+            snap = max(snap, float(np.max(np.abs(proj - snap_target))))
+            ric_dev = max(ric_dev, float(np.max(np.abs(
+                rep.ric - 4.0 * a * a * snap_target))))
+    return {"d_omega": d_omega, "dstar_omega": dstar, "omega_wedge_omega": wedge,
+            "f2_integrability": f2_int, "e2_integrability": e2_int,
+            "snap_deviation": snap, "ricci_deviation": ric_dev}
+
+
+def reference_strominger(data, points, h=1e-5):
+    """strominger_check's residuals from the per-call references."""
+    cf, a = data.total, data.a
+    mu2 = 4.0 * a * a
+    t_frame = data.torsion
+    tt_ric = co.torsion_ricci(co.skew_tensor(t_frame, 5))
+    star_t = co.form_hodge(t_frame, 5, 3)
+    target = np.array([0.0, 0.0, 0.5 * mu2, 0.5 * mu2, 0.5 * mu2])
+    out = dict.fromkeys(("tn", "dt", "dst", "ne", "rn", "on", "sc", "ee", "curv"), 0.0)
+    eig_rows = []
+    for p in points:
+        d_eta = reference_numeric_d(lambda q: cf.coeff(q)[4], 5, 1, p, h)
+        omega_frame = co.frame_to_coords(d_eta, np.linalg.inv(cf.coeff(p)), 2)
+        t_num = co.form_wedge(omega_frame, bd._frame_form(5, (5,), 1.0), 5, 2, 1)
+        out["tn"] = max(out["tn"], abs(t_num @ t_num - mu2))
+        out["dt"] = max(out["dt"], np.abs(reference_numeric_d(
+            lambda q: co.frame_to_coords(t_frame, cf.coeff(q), 3), 5, 3, p, h)).max())
+        out["dst"] = max(out["dst"], np.abs(reference_numeric_d(
+            lambda q: co.frame_to_coords(star_t, cf.coeff(q), 2), 5, 2, p, h)).max())
+        gam = (reference_levi_civita(reference_structure_functions(cf, p))
+               + 0.5 * co.skew_tensor(t_frame, 5))
+        out["ne"] = max(out["ne"], float(np.max(np.abs(gam[:, 4, :]))))
+        rep_nabla = reference_riemann_ricci(cf, p, t_frame, h=h)
+        out["rn"] = max(out["rn"], rep_nabla.max_ric)
+        out["curv"] = max(out["curv"], rep_nabla.max_riemann)
+        rep_g = reference_riemann_ricci(cf, p, h=h)
+        out["on"] = max(out["on"], float(np.max(np.abs(rep_g.ric - tt_ric))))
+        out["sc"] = max(out["sc"], abs(rep_g.scal - 1.5 * mu2))
+        eig_rows.append(rep_g.eigenvalues)
+        out["ee"] = max(out["ee"], float(np.max(np.abs(np.sort(rep_g.eigenvalues) - target))))
+    return out, np.array(eig_rows)
+
+
+@pytest.mark.parametrize("a", sorted(BUNDLES))
+@pytest.mark.parametrize("h", [1e-5, 3e-5])
+def test_hypothesis_panel_equals_reference(a, h):
+    """With h equal to the coframe's step one stencil serves d and curvature;
+    with another h, d reads a second stencil.  At these points d * Omega is
+    rounding noise of a size that depends on h (2.8e-12 against 9.3e-13 at
+    a = 1/4), so reading d from the wrong stencil shows."""
+    cf = BUNDLES[a].base
+    points = cf.sample_points(np.random.default_rng(2), 4)
+    panel = bd.hypothesis_panel(cf, a, points, h=h)
+    for name, want in reference_panel(cf, a, points, h).items():
+        assert getattr(panel, name) == want, name
+
+
+@pytest.mark.parametrize("a", sorted(BUNDLES))
+def test_strominger_check_equals_reference(a):
+    data = BUNDLES[a]
+    points = data.total.sample_points(np.random.default_rng(13), 4)
+    rep = bd.strominger_check(data, points)
+    want, eigs = reference_strominger(data, points)
+    got = {"tn": rep.torsion_norm_residual, "dt": rep.d_torsion,
+           "dst": rep.dstar_torsion, "ne": rep.nabla_eta, "rn": rep.ric_nabla,
+           "on": rep.oneill, "sc": rep.scal_residual,
+           "ee": rep.ricci_eigen_residual, "curv": rep.max_r_nabla}
+    assert got == want
+    assert np.array_equal(rep.ricci_eigenvalues, eigs)
+    assert rep.points == len(points)
+    assert rep.non_flat == (want["curv"] > 0.01)

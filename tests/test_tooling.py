@@ -48,3 +48,6 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+    if "--points" in argv:          # the sweep checks as many points as asked
+        count = argv[argv.index("--points") + 1]
+        assert f"residuals are maxima over {count} sample points" in proc.stdout

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 
+import numpy as np
 from hypothesis import strategies as st
 
+from g2torsion import coframe as co
 from g2torsion.forms import Form, basis_indices
 from g2torsion.linalg import frac, identity, matmul, transpose
 
@@ -89,7 +91,8 @@ def random_rotation(n, rng, steps=6):
 
 
 # Reference implementations in Fraction arithmetic: the library's integer
-# versions must return the same rationals.
+# versions must return the same rationals.  Further down, per-call float
+# references that the batched coframe stencil must match bit for bit.
 
 
 def reference_rref(m):
@@ -145,3 +148,66 @@ def reference_quadric_member(b, mu):
                 w = Fraction(rn, rd)
                 return ((s + w) / 2, B, C, (s - w) / 2)
     return None
+
+
+def reference_structure_functions(cf, p):
+    """c^i_{jk} at one point from its own coframe, inverse and jacobian."""
+    p = np.asarray(p, dtype=float)
+    a = cf.coeff(p)
+    if abs(np.linalg.det(a)) < 1e-12:
+        raise ValueError("coframe matrix is singular at the sample point")
+    e = np.linalg.inv(a)
+    jac = cf.jacobian(p)
+    m = np.einsum("iab,bj,ak->ijk", jac, e, e)
+    return m.transpose(0, 2, 1) - m
+
+
+def reference_levi_civita(c):
+    cl = np.transpose(c, (1, 2, 0))
+    return 0.5 * (cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0)))
+
+
+def reference_numeric_d(form_fn, n, k, p, h=1e-5):
+    """Central-difference d, one form_fn call per displaced point."""
+    partials = np.array([(form_fn(p + step) - form_fn(p - step)) / (2 * h)
+                         for step in h * np.eye(n)])
+    left, right, out, sign = co._wedge_table(n, 1, k)
+    return np.bincount(out, weights=sign * partials[left, right],
+                       minlength=comb(n, k + 1))
+
+
+def reference_riemann_ricci(cf, p, torsion=None, h=None, symmetry_tol=1e-6):
+    """Curvature with structure functions recomputed at every displaced point."""
+    p = np.asarray(p, dtype=float)
+    h = h if h is not None else cf.h
+    n = cf.n
+    c = reference_structure_functions(cf, p)
+    half_t = None if torsion is None else 0.5 * co.skew_tensor(torsion, n)
+
+    def m_matrices(c_q):
+        g = reference_levi_civita(c_q)
+        if half_t is not None:
+            g = g + half_t
+        return g.transpose(0, 2, 1)
+
+    m0 = m_matrices(c)
+    partials = np.zeros((n, n, n, n))
+    for beta in range(n):
+        pp, pm = p.copy(), p.copy()
+        pp[beta] += h
+        pm[beta] -= h
+        partials[beta] = (m_matrices(reference_structure_functions(cf, pp))
+                          - m_matrices(reference_structure_functions(cf, pm))) / (2 * h)
+    e = np.linalg.inv(cf.coeff(p))
+    dm = np.einsum("bjlk,bi->ijlk", partials, e)
+    prod = m0[:, None] @ m0[None, :]
+    riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
+    for mm in range(n):
+        i, j = np.nonzero(c[mm])
+        riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
+    ric = np.einsum("ijik->jk", riemann)
+    sym_err = float(np.max(np.abs(ric - ric.T)))
+    if sym_err > symmetry_tol and torsion is None:
+        raise ValueError(f"Ricci asymmetry {sym_err:.3e}")
+    eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
+    return co.CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
