@@ -9,7 +9,8 @@ kernels                      dimensions of spinor-annihilator spaces
 det-e2 --b --mu              restricted-determinant closed form + brute force
 group-report <algebra-file>  full exact pipeline on a metric Lie algebra
 kahler --a ...               Ricci spectrum of the explicit Kaehler metric
-theorem1 --a ...             5-dimensional bundle assembly + residual panel
+theorem1 --a ...             5-dimensional bundle assembly; hypotheses and
+                             conclusions judged in one verdict at --tol
 selftest                     curated battery across all modules
 
 Exit codes: 0 all checks pass, 1 a verification item failed, 2 usage or
@@ -214,41 +215,28 @@ def cmd_kahler(args):
 def cmd_theorem1(args):
     import numpy as np
 
-    from .bundle import TORSION_NORM_TOL, assemble_N5, strominger_check
+    from .bundle import (TORSION_NORM_TOL, assemble_N5, strominger_check,
+                         theorem1_passed)
     from .liouville import solve_liouville
 
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
-    try:
-        bundle = assemble_N5(sol)
-    except ValueError as exc:
-        return {"command": "theorem1", "a": args.a, "error": str(exc),
-                "passed": False}
+    bundle = assemble_N5(sol)
     rng = np.random.default_rng(args.seed)
     points = bundle.total.sample_points(rng, args.points)
     rep = strominger_check(bundle, points)
-    panel = bundle.panel
     return {
         "command": "theorem1",
         "a": args.a,
         "grid": args.grid,
         "points": rep.points,
         "mu": bundle.mu,
-        "hypotheses": {
-            "d_omega": panel.d_omega,
-            "dstar_omega": panel.dstar_omega,
-            "omega_wedge_omega": panel.omega_wedge_omega,
-            "f2_integrability": panel.f2_integrability,
-            "e2_integrability": panel.e2_integrability,
-            "snap_deviation": panel.snap_deviation,
-            "ricci_deviation": panel.ricci_deviation,
-            "potential_residual": panel.potential_residual,
-        },
-        "residuals": rep.residual_items(),
+        "hypotheses": bundle.hypotheses,
+        "residuals": rep.residuals,
         "max_r_nabla": rep.max_r_nabla,
         "non_flat": rep.non_flat,
         "tolerance": args.tol,
         "torsion_norm_tolerance": TORSION_NORM_TOL,
-        "passed": rep.passed(args.tol),
+        "passed": theorem1_passed(bundle.hypotheses, rep, args.tol),
     }
 
 
@@ -329,7 +317,8 @@ def _selftest_items():
     import numpy as np
 
     from .bundle import (assemble_N5, kahler_coframe, kahler_ricci_deviation,
-                         kahler_ricci_eigenvalues, strominger_check)
+                         kahler_ricci_eigenvalues, strominger_check,
+                         theorem1_passed)
     from .liouville import solve_liouville
 
     sol = solve_liouville(0.5, n=400)
@@ -342,8 +331,8 @@ def _selftest_items():
     bundle = assemble_N5(sol)
     srep = strominger_check(bundle, bundle.total.sample_points(
         np.random.default_rng(2), 5))
-    yield ("bundle residual panel", srep.passed(1e-6),
-           f"max residual {max(srep.residual_items().values()):.2e}")
+    yield ("bundle residual panel", theorem1_passed(bundle.hypotheses, srep, 1e-6),
+           f"max residual {max(srep.residuals.values()):.2e}")
 
 
 def cmd_selftest(args):

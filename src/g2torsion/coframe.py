@@ -122,7 +122,6 @@ class CoframeField:
     matrix: Callable[[Array], Array]
     matrix_jac: Callable[[Array], Array] | None = None
     h: float = 1e-5
-    name: str = ""
 
     def coeff(self, p: Array) -> Array:
         a = np.asarray(self.matrix(np.asarray(p, dtype=float)), dtype=float)
@@ -147,13 +146,11 @@ class CoframeField:
             out[:, :, k] = (self.coeff(pp) - self.coeff(pm)) / (2 * h)
         return out
 
-    def sample_points(self, rng, count, margin_frac=0.1):
-        pts = []
-        for _ in range(count):
-            pts.append(np.array([
-                lo + (margin_frac + (1 - 2 * margin_frac) * rng.random()) * (hi - lo)
-                for lo, hi in self.domain]))
-        return pts
+    def sample_points(self, rng, count):
+        """count points uniform in the middle 80% of each coordinate range."""
+        return [np.array([lo + (0.1 + 0.8 * rng.random()) * (hi - lo)
+                          for lo, hi in self.domain])
+                for _ in range(count)]
 
 
 def _structure(cf: CoframeField, pts: Array):
@@ -287,7 +284,7 @@ def flat_coframe(n: int, box=None) -> CoframeField:
     def jac(p):
         return np.zeros((n, n, n))
 
-    return CoframeField(n, box, matrix, jac, name="flat")
+    return CoframeField(n, box, matrix, jac)
 
 
 def sphere_coframe(radius: float = 1.0) -> CoframeField:
@@ -304,7 +301,7 @@ def sphere_coframe(radius: float = 1.0) -> CoframeField:
         return out
 
     return CoframeField(2, ((0.4, math.pi - 0.4), (0.0, 2 * math.pi)),
-                        matrix, jac, name="sphere")
+                        matrix, jac)
 
 
 def fd_convergence_order(cf: CoframeField, p: Array, h: float = 1e-3) -> float:

@@ -227,22 +227,13 @@ class LiouvilleSolution:
     values: np.ndarray
     residual_norm: float          # discrete max-norm of the plugged-back ODE
     iterations: int
-    evaluator: Bernstein = field(repr=False)
-    derivative: Bernstein = field(repr=False)
-    second_derivative: Bernstein = field(repr=False)
+    u: Bernstein = field(repr=False)      # the C^2 quintic evaluator of u
+    du: Bernstein = field(repr=False)     # u'
+    d2u: Bernstein = field(repr=False)    # u''
     # Residual max-norm before and after each Newton step, one tuple per
     # solve: the n-interval solve, then the doubled-grid one under Richardson.
     trace: tuple
     richardson_correction: float  # max-norm of the correction; 0.0 without
-
-    def u(self, x):
-        return self.evaluator(x)
-
-    def du(self, x):
-        return self.derivative(x)
-
-    def d2u(self, x):
-        return self.second_derivative(x)
 
     def rhs(self, x):
         """The ODE right-hand side -8 a^2 x e^{u(x)} at x."""

@@ -206,7 +206,7 @@ def test_criterion_11_kahler_ricci_spectrum():
 def test_criterion_12_bundle_construction_conclusions():
     data = bd.assemble_N5(solve_liouville(0.5, n=400))
     report = bd.strominger_check(data, rng=np.random.default_rng(SEED))
-    items = report.residual_items()
+    items = report.residuals
     assert items["torsion_norm"] < 1e-8         # | ||T||^2 - 4a^2 |
     assert items["d_torsion"] < 1e-6
     assert items["dstar_torsion"] < 1e-6

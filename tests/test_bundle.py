@@ -30,34 +30,43 @@ def test_base_ricci_spectrum():
     assert bd.eigenvalue_multiplicity_gap(eigs, 4 * A * A)
 
 
+HYPOTHESES = ("d_omega", "dstar_omega", "omega_wedge_omega",
+              "f2_integrability", "e2_integrability", "snap_deviation",
+              "ricci_deviation")
+RESIDUALS = ("torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta",
+             "ric_nabla", "oneill", "scal", "ricci_eigen")
+#: A conclusion report that holds, for judging the hypotheses alone.
+CONCLUSIONS_HOLD = bd.StromingerReport(dict.fromkeys(RESIDUALS, 0.0),
+                                       np.zeros((1, 5)), 1.0, 1, True)
+
+
 def test_hypothesis_panel_passes():
     cf = bd.kahler_coframe(SOL)
     pts = cf.sample_points(np.random.default_rng(5), 6)
     panel = bd.hypothesis_panel(cf, A, pts)
-    assert panel.passed, panel.failures
-    for name in ("d_omega", "dstar_omega", "omega_wedge_omega",
-                 "f2_integrability", "e2_integrability",
-                 "snap_deviation", "ricci_deviation"):
-        assert getattr(panel, name) < 1e-6, name
+    assert tuple(panel) == HYPOTHESES
+    for name, value in panel.items():
+        assert value < 1e-6, name
+    assert bd.theorem1_passed(panel, CONCLUSIONS_HOLD, 1e-6)
 
 
 def test_panel_detects_wrong_scale():
-    """The panel is a real check: a wrong Ricci target must be flagged."""
+    """The panel is a real check: a wrong Ricci target must fail the verdict."""
     cf = bd.kahler_coframe(SOL)
     pts = cf.sample_points(np.random.default_rng(5), 3)
     panel = bd.hypothesis_panel(cf, A + 0.2, pts)
-    assert not panel.passed
-    assert any("Ric" in f for f in panel.failures)
+    assert panel["ricci_deviation"] > 1e-6
+    assert not bd.theorem1_passed(panel, CONCLUSIONS_HOLD, 1e-6)
 
 
 def test_assemble_rejects_tampered_solution():
     """Swapping in the conformal factor of a different parameter must fail."""
     other = solve_liouville(0.3)
-    tampered = dataclasses.replace(
-        SOL, evaluator=other.evaluator, derivative=other.derivative,
-        second_derivative=other.second_derivative)
-    with pytest.raises(ValueError, match="hypothesis panel failed"):
-        bd.assemble_N5(tampered)
+    tampered = dataclasses.replace(SOL, u=other.u, du=other.du, d2u=other.d2u)
+    data = bd.assemble_N5(tampered)
+    assert data.hypotheses["ricci_deviation"] > 1e-6
+    report = bd.strominger_check(data, rng=np.random.default_rng(9))
+    assert not bd.theorem1_passed(data.hypotheses, report, 1e-6)
 
 
 def test_bundle_assembly_and_potential():
@@ -66,7 +75,8 @@ def test_bundle_assembly_and_potential():
     want = np.zeros(10)
     want[basis_indices(5, 3).index((1, 2, 5))] = 2 * A
     assert np.array_equal(data.torsion, want)
-    assert data.panel.passed
+    assert tuple(data.hypotheses) == HYPOTHESES + ("potential_residual",)
+    assert all(v < 1e-6 for v in data.hypotheses.values()), data.hypotheses
     # Q(x0) = 0 (integration starts at the left edge) and dQ/dx = 2 a x e^u
     x0 = SOL.config.x0
     assert abs(data.potential(x0)) < 1e-12
@@ -92,30 +102,40 @@ def test_bundle_coframe_shape():
 def test_strominger_conclusions():
     data = bd.assemble_N5(SOL)
     report = bd.strominger_check(data, rng=np.random.default_rng(9))
-    items = report.residual_items()
+    items = report.residuals
+    assert tuple(items) == RESIDUALS
     assert items["torsion_norm"] < 1e-8, items
-    for name in ("d_torsion", "dstar_torsion", "nabla_eta",
-                 "ric_nabla", "oneill", "scal", "ricci_eigen"):
+    for name in RESIDUALS[1:]:
         assert items[name] < 1e-6, (name, items[name])
     assert report.max_r_nabla > 0.01          # Ricci-flat but NOT flat
-    assert report.non_flat and report.passed(1e-6)
+    assert report.non_flat and bd.theorem1_passed(data.hypotheses, report, 1e-6)
     mu2 = (2 * A) ** 2
     target = np.array([0.0, 0.0, mu2 / 2, mu2 / 2, mu2 / 2])
     assert np.max(np.abs(np.sort(report.ricci_eigenvalues, axis=-1) - target)) < 1e-6
 
 
 def test_theorem1_verdict_holds_torsion_norm_to_its_own_bound():
-    ok = bd.StromingerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.zeros((1, 5)),
-                             0.0, 1.0, 1, True)
+    """One verdict over hypotheses and conclusions: each within tol, the
+    torsion norm within its own bound, a NaN residual failing, and nabla
+    non-flat."""
+    hypotheses = dict.fromkeys(HYPOTHESES + ("potential_residual",), 0.0)
 
-    def passes(**change):
-        return dataclasses.replace(ok, **change).passed(1e-6)
+    def passes(non_flat=True, **change):
+        report = dataclasses.replace(CONCLUSIONS_HOLD, non_flat=non_flat, residuals={
+            k: change.get(k, v) for k, v in CONCLUSIONS_HOLD.residuals.items()})
+        hyp = {k: change.get(k, v) for k, v in hypotheses.items()}
+        return bd.theorem1_passed(hyp, report, 1e-6)
 
     assert passes()
-    assert passes(torsion_norm_residual=0.5 * bd.TORSION_NORM_TOL)
-    assert not passes(torsion_norm_residual=2 * bd.TORSION_NORM_TOL)
+    assert passes(torsion_norm=0.5 * bd.TORSION_NORM_TOL)
+    assert not passes(torsion_norm=2 * bd.TORSION_NORM_TOL)
     assert passes(oneill=0.5e-6)
     assert not passes(oneill=2e-6)
+    assert passes(ricci_deviation=0.5e-6)
+    assert not passes(ricci_deviation=2e-6)
+    assert not passes(potential_residual=2e-6)
+    assert not passes(scal=math.nan)
+    assert not passes(snap_deviation=math.nan)
     assert not passes(non_flat=False)
 
 
@@ -128,7 +148,8 @@ def test_degenerate_case_at_zero_parameter():
     data = bd.assemble_N5(sol0)
     assert not data.torsion.any()
     report = bd.strominger_check(data, rng=np.random.default_rng(9))
-    assert max(report.residual_items().values()) < 1e-6
+    assert max(report.residuals.values()) < 1e-6
+    assert max(data.hypotheses.values()) < 1e-6
     assert np.max(np.abs(report.ricci_eigenvalues)) < 1e-7
     assert report.max_r_nabla > 0.01
     assert report.non_flat

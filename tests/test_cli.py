@@ -264,6 +264,9 @@ def test_zero_parameter_verdicts_hold_by_measurement(capsys):
     assert code == 0
     assert payload["non_flat"] is True
     assert float(payload["max_r_nabla"]) > 0.01
+    # Ric is compared with the zero target, not skipped: rounding noise remains
+    assert float(payload["hypotheses"]["ricci_deviation"]) == pytest.approx(
+        6.60048682377e-11, rel=1e-9, abs=1e-12)
     code, payload = run_json(capsys, ["kahler", "--a", "0", "--grid", "200",
                                       "--points", "3"])
     assert code == 0
@@ -366,6 +369,40 @@ def test_out_of_range_solver_inputs_are_usage_errors(command, argv, message,
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["kahler", "theorem1"])
+def test_domain_narrower_than_the_chart_margins_is_usage_error(command, capsys):
+    """The chart keeps 0.02 from each end of the interval; an interval of
+    width at most 0.04 leaves no chart and exits 2 naming both."""
+    code = main([command, "--domain", "0.001", "0.01", "--grid", "50",
+                 "--points", "1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: domain [0.001, 0.01] is too narrow: the chart keeps a margin "
+        "of 0.02 from each end, so x1 - x0 must exceed 0.04\n")
+
+
+def test_theorem1_judges_hypotheses_at_tol(capsys):
+    """At grid 20 the base Ricci tensor is off by 8.3e-5: within --tol 1e-2
+    the theorem holds, at the default 1e-6 it fails with the full payload
+    naming the failed hypothesis."""
+    code, payload = run_json(capsys, ["theorem1", "--grid", "20", "--tol", "1e-2"])
+    assert code == 0
+    assert payload["passed"] is True
+    code, payload = run_json(capsys, ["theorem1", "--grid", "20"])
+    assert code == 1
+    assert payload["passed"] is False
+    assert "error" not in payload
+    hyp = payload["hypotheses"]
+    assert float(hyp["ricci_deviation"]) == pytest.approx(8.34417259379e-05, rel=1e-6)
+    assert [k for k, v in hyp.items() if float(v) > 1e-6] == ["ricci_deviation"]
+    assert set(payload["residuals"]) == {
+        "torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta", "ric_nabla",
+        "oneill", "scal", "ricci_eigen"}
+    assert payload["non_flat"] is True
 
 
 @pytest.mark.parametrize("command", ["kahler", "theorem1"])

@@ -149,8 +149,8 @@ def test_memo_hit_returns_the_fresh_value():
     sol = solve_liouville(0.25, n=200)
     for x in (1.0, 1.37, np.float64(1.5), 2.0):
         first = sol.u(x)
-        assert x in sol.evaluator._memo
-        fresh = Bernstein(sol.evaluator.c, sol.evaluator.x)(float(x))
+        assert x in sol.u._memo
+        fresh = Bernstein(sol.u.c, sol.u.x)(float(x))
         assert sol.u(x) == first == fresh
         assert isinstance(first, float)
     # an array argument is evaluated afresh and agrees with the memo

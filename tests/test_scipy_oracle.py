@@ -26,17 +26,16 @@ def sample_points(x, seed):
 @pytest.mark.parametrize("a, n", [(0.05, 200), (0.25, 400), (0.45, 1600)])
 def test_evaluator_and_derivatives_match_bpoly(a, n):
     sol = solve_liouville(a, n=n)
-    xs = sample_points(sol.evaluator.x, n)
-    for ours in (sol.evaluator, sol.derivative, sol.second_derivative):
+    xs = sample_points(sol.u.x, n)
+    for ours in (sol.u, sol.du, sol.d2u):
         ref = interpolate.BPoly(ours.c, ours.x)
         want = ref(xs)
         assert np.array_equal(ours(xs), want)                       # array path
         assert np.array_equal([ours(float(x)) for x in xs], want)   # scalar path
-    bp = interpolate.BPoly(sol.evaluator.c, sol.evaluator.x)
-    assert np.array_equal(sol.derivative.c, bp.derivative().c)
-    assert np.array_equal(sol.second_derivative.c, bp.derivative(2).c)
-    assert [len(p.c) - 1 for p in (sol.evaluator, sol.derivative,
-                                   sol.second_derivative)] == [5, 4, 3]
+    bp = interpolate.BPoly(sol.u.c, sol.u.x)
+    assert np.array_equal(sol.du.c, bp.derivative().c)
+    assert np.array_equal(sol.d2u.c, bp.derivative(2).c)
+    assert [len(p.c) - 1 for p in (sol.u, sol.du, sol.d2u)] == [5, 4, 3]
 
 
 @pytest.mark.parametrize("uniform", [True, False])

@@ -7,6 +7,7 @@ at a time.  Every result must be equal as floats, not merely close: the
 float goldens compare finite-difference noise at 1e-12.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,8 +113,10 @@ def test_singular_coframe_is_rejected_at_any_row():
 # ------------------------------------------------------------ bundle reports
 
 
-def reference_panel(cf, a, points, h=1e-5):
-    """hypothesis_panel's residuals from the per-call references."""
+def reference_panel(cf, a, points):
+    """hypothesis_panel's residuals from the per-call references, at the
+    coframe's step."""
+    h = cf.h
     omega_frame = bd._frame_form(4, (1, 2), 2.0 * a)
     star_frame = co.form_hodge(omega_frame, 4, 2)
 
@@ -133,62 +136,67 @@ def reference_panel(cf, a, points, h=1e-5):
         c = reference_structure_functions(cf, p)
         f2_int = max(f2_int, max(abs(c[m, 0, 1]) for m in (2, 3)))
         e2_int = max(e2_int, max(abs(c[m, 2, 3]) for m in (0, 1)))
+        rep = reference_riemann_ricci(cf, p)
         if a != 0:
-            rep = reference_riemann_ricci(cf, p)
             proj = bd._f2_projector(rep.ric, 4.0 * a * a)
             snap = max(snap, float(np.max(np.abs(proj - snap_target))))
-            ric_dev = max(ric_dev, float(np.max(np.abs(
-                rep.ric - 4.0 * a * a * snap_target))))
+        ric_dev = max(ric_dev, float(np.max(np.abs(
+            rep.ric - 4.0 * a * a * snap_target))))
     return {"d_omega": d_omega, "dstar_omega": dstar, "omega_wedge_omega": wedge,
             "f2_integrability": f2_int, "e2_integrability": e2_int,
             "snap_deviation": snap, "ricci_deviation": ric_dev}
 
 
 def reference_strominger(data, points, h=1e-5):
-    """strominger_check's residuals from the per-call references."""
+    """strominger_check's residuals, the largest |R^nabla| and the Ricci
+    eigenvalue rows from the per-call references."""
     cf, a = data.total, data.a
     mu2 = 4.0 * a * a
     t_frame = data.torsion
     tt_ric = co.torsion_ricci(co.skew_tensor(t_frame, 5))
     star_t = co.form_hodge(t_frame, 5, 3)
     target = np.array([0.0, 0.0, 0.5 * mu2, 0.5 * mu2, 0.5 * mu2])
-    out = dict.fromkeys(("tn", "dt", "dst", "ne", "rn", "on", "sc", "ee", "curv"), 0.0)
+    out = dict.fromkeys(("torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta",
+                         "ric_nabla", "oneill", "scal", "ricci_eigen"), 0.0)
+    curv = 0.0
     eig_rows = []
     for p in points:
         d_eta = reference_numeric_d(lambda q: cf.coeff(q)[4], 5, 1, p, h)
         omega_frame = co.frame_to_coords(d_eta, np.linalg.inv(cf.coeff(p)), 2)
         t_num = co.form_wedge(omega_frame, bd._frame_form(5, (5,), 1.0), 5, 2, 1)
-        out["tn"] = max(out["tn"], abs(t_num @ t_num - mu2))
-        out["dt"] = max(out["dt"], np.abs(reference_numeric_d(
+        out["torsion_norm"] = max(out["torsion_norm"], abs(t_num @ t_num - mu2))
+        out["d_torsion"] = max(out["d_torsion"], np.abs(reference_numeric_d(
             lambda q: co.frame_to_coords(t_frame, cf.coeff(q), 3), 5, 3, p, h)).max())
-        out["dst"] = max(out["dst"], np.abs(reference_numeric_d(
+        out["dstar_torsion"] = max(out["dstar_torsion"], np.abs(reference_numeric_d(
             lambda q: co.frame_to_coords(star_t, cf.coeff(q), 2), 5, 2, p, h)).max())
         gam = (reference_levi_civita(reference_structure_functions(cf, p))
                + 0.5 * co.skew_tensor(t_frame, 5))
-        out["ne"] = max(out["ne"], float(np.max(np.abs(gam[:, 4, :]))))
+        out["nabla_eta"] = max(out["nabla_eta"], float(np.max(np.abs(gam[:, 4, :]))))
         rep_nabla = reference_riemann_ricci(cf, p, t_frame, h=h)
-        out["rn"] = max(out["rn"], rep_nabla.max_ric)
-        out["curv"] = max(out["curv"], rep_nabla.max_riemann)
+        out["ric_nabla"] = max(out["ric_nabla"], rep_nabla.max_ric)
+        curv = max(curv, rep_nabla.max_riemann)
         rep_g = reference_riemann_ricci(cf, p, h=h)
-        out["on"] = max(out["on"], float(np.max(np.abs(rep_g.ric - tt_ric))))
-        out["sc"] = max(out["sc"], abs(rep_g.scal - 1.5 * mu2))
+        out["oneill"] = max(out["oneill"], float(np.max(np.abs(rep_g.ric - tt_ric))))
+        out["scal"] = max(out["scal"], abs(rep_g.scal - 1.5 * mu2))
         eig_rows.append(rep_g.eigenvalues)
-        out["ee"] = max(out["ee"], float(np.max(np.abs(np.sort(rep_g.eigenvalues) - target))))
-    return out, np.array(eig_rows)
+        out["ricci_eigen"] = max(out["ricci_eigen"], float(np.max(np.abs(
+            np.sort(rep_g.eigenvalues) - target))))
+    return out, curv, np.array(eig_rows)
 
 
 @pytest.mark.parametrize("a", sorted(BUNDLES))
 @pytest.mark.parametrize("h", [1e-5, 3e-5])
 def test_hypothesis_panel_equals_reference(a, h):
-    """With h equal to the coframe's step one stencil serves d and curvature;
-    with another h, d reads a second stencil.  At these points d * Omega is
-    rounding noise of a size that depends on h (2.8e-12 against 9.3e-13 at
-    a = 1/4), so reading d from the wrong stencil shows."""
-    cf = BUNDLES[a].base
+    """One stencil at the coframe's step serves d and curvature.  At these
+    points d * Omega is rounding noise of a size that depends on h (2.8e-12
+    against 9.3e-13 at a = 1/4), so reading d at another step shows."""
+    cf = dataclasses.replace(BUNDLES[a].base, h=h)
     points = cf.sample_points(np.random.default_rng(2), 4)
-    panel = bd.hypothesis_panel(cf, a, points, h=h)
-    for name, want in reference_panel(cf, a, points, h).items():
-        assert getattr(panel, name) == want, name
+    panel = bd.hypothesis_panel(cf, a, points)
+    want = reference_panel(cf, a, points)
+    assert list(panel) == list(want)
+    for name, value in want.items():
+        assert panel[name] == value, name
 
 
 @pytest.mark.parametrize("a", sorted(BUNDLES))
@@ -196,12 +204,10 @@ def test_strominger_check_equals_reference(a):
     data = BUNDLES[a]
     points = data.total.sample_points(np.random.default_rng(13), 4)
     rep = bd.strominger_check(data, points)
-    want, eigs = reference_strominger(data, points)
-    got = {"tn": rep.torsion_norm_residual, "dt": rep.d_torsion,
-           "dst": rep.dstar_torsion, "ne": rep.nabla_eta, "rn": rep.ric_nabla,
-           "on": rep.oneill, "sc": rep.scal_residual,
-           "ee": rep.ricci_eigen_residual, "curv": rep.max_r_nabla}
-    assert got == want
+    want, curv, eigs = reference_strominger(data, points)
+    assert list(rep.residuals) == list(want)
+    assert rep.residuals == want
+    assert rep.max_r_nabla == curv
     assert np.array_equal(rep.ricci_eigenvalues, eigs)
     assert rep.points == len(points)
-    assert rep.non_flat == (want["curv"] > 0.01)
+    assert rep.non_flat == (curv > 0.01)
