@@ -213,6 +213,8 @@ def cmd_kahler(args):
 
 
 def cmd_theorem1(args):
+    """Conclusions at --points points drawn with --seed; the hypotheses at
+    assemble_N5's 10 fixed points, whatever --points and --seed say."""
     import numpy as np
 
     from .bundle import (TORSION_NORM_TOL, assemble_N5, strominger_check,
@@ -331,8 +333,10 @@ def _selftest_items():
     bundle = assemble_N5(sol)
     srep = strominger_check(bundle, bundle.total.sample_points(
         np.random.default_rng(2), 5))
+    residuals = {**bundle.hypotheses, **srep.residuals}
+    worst = max(residuals, key=lambda k: (math.isnan(residuals[k]), residuals[k]))
     yield ("bundle residual panel", theorem1_passed(bundle.hypotheses, srep, 1e-6),
-           f"max residual {max(srep.residuals.values()):.2e}")
+           f"max residual {residuals[worst]:.2e} ({worst})")
 
 
 def cmd_selftest(args):

@@ -8,10 +8,11 @@ Levi-Civita coefficients come from the orthonormal-frame Koszul formula, and
 curvature follows from the frame version of R(X,Y) = [nabla_X, nabla_Y] -
 nabla_[X,Y], with directional derivatives taken by central finite differences.
 
-Every finite difference at a point p reads one ``Stencil``: the coframe at p
-and p +- h e_beta, with frame vectors and structure functions of all 2n + 1
-rows from one batched pass; its curvature (optionally with frame-constant skew
-torsion, nabla = nabla^g + 1/2 T) and d share one central difference.
+Coframes are evaluated on stacks of points.  Every finite difference reads one
+``Stencil``: the coframe at each point p of a chunk and at p +- h e_beta, with
+the frame vectors and structure functions of all rows from one batched pass;
+its curvature (optionally with frame-constant skew torsion, nabla = nabla^g +
+1/2 T) and d share one central difference.
 
 A float k-form on an n-frame, in frame or coordinate components, is a numpy
 vector over ``forms.basis_indices(n, k)``; a change of basis acts on it by
@@ -31,6 +32,8 @@ import numpy as np
 from .forms import basis_indices, perm_sign, sort_index
 
 Array = np.ndarray
+#: Sample points per Stencil in ``stencils``: memory stays flat for any count.
+CHUNK = 16
 
 
 # ------------------------------------------------------------ float forms
@@ -52,62 +55,79 @@ def _wedge_table(n: int, k: int, l: int):
     return tuple(table)
 
 
-def compound(a: Array, k: int) -> Array:
-    """k-th compound matrix: C[..., I, J] = det a[..., I, J] over basis_indices(n, k)."""
+def _minors(a: Array, k: int, rows: slice) -> Array:
+    """det a[..., I, J] for I in basis_indices(n, k)[rows] and every J."""
     pos = np.array(basis_indices(a.shape[-1], k), dtype=np.intp) - 1
     # C order keeps each C[q] of a stack laid out as the compound of a[q] alone
-    minors = np.ascontiguousarray(a[..., pos[:, None, :, None], pos[None, :, None, :]])
+    minors = np.ascontiguousarray(a[..., pos[rows, None, :, None], pos[None, :, None, :]])
     return np.linalg.det(minors)
 
 
+def compound(a: Array, k: int) -> Array:
+    """k-th compound matrix: C[..., I, J] = det a[..., I, J] over basis_indices(n, k)."""
+    return _minors(a, k, slice(None))
+
+
+def _bincount(index: Array, weights: Array, size: int) -> Array:
+    """np.bincount(index, weights, size) along the last axis of a stack."""
+    out = np.zeros(weights.shape[:-1] + (size,))
+    np.add.at(out, (..., index), weights)
+    return out
+
+
 def form_wedge(a: Array, b: Array, n: int, k: int, l: int) -> Array:
-    """Wedge product of a k-form and an l-form on an n-frame."""
+    """Wedge product of k-forms and l-forms on an n-frame (stacks broadcast)."""
     left, right, out, sign = _wedge_table(n, k, l)
-    return np.bincount(out, weights=sign * a[left] * b[right],
-                       minlength=math.comb(n, k + l))
+    return _bincount(out, sign * a[..., left] * b[..., right], math.comb(n, k + l))
 
 
 def form_hodge(a: Array, n: int, k: int) -> Array:
     """Hodge star of a k-form on an oriented orthonormal n-frame."""
     left, right, _, sign = _wedge_table(n, k, n - k)
-    return np.bincount(right, weights=sign * a[left], minlength=math.comb(n, n - k))
+    return _bincount(right, sign * a[..., left], math.comb(n, n - k))
 
 
 def frame_to_coords(components: Array, a_matrix: Array, k: int) -> Array:
-    """Rewrite a frame k-form in the coordinate basis: f^I = det A[I,J] dx^J."""
-    return components @ compound(a_matrix, k)
+    """Rewrite frame k-forms (one, or a stack) in the coordinate basis:
+    f^I = det A[I,J] dx^J; one form with one nonzero f^I needs only row I."""
+    nonzero = np.flatnonzero(components)
+    if components.ndim > 1 or len(nonzero) > 1:
+        return (components[..., None, :] @ compound(a_matrix, k))[..., 0, :]
+    q = nonzero[0] if len(nonzero) else 0
+    return components[q] * _minors(a_matrix, k, slice(q, q + 1))[..., 0, :]
 
 
 def stencil_points(p: Array, h: float) -> Array:
-    """Rows p, then p + h e_beta and p - h e_beta for ascending beta."""
-    beta = np.arange(len(p))
-    pts = np.tile(np.asarray(p, dtype=float), (2 * len(p) + 1, 1))
-    pts[1 + beta, beta] += h
-    pts[1 + len(p) + beta, beta] -= h
+    """Rows p, then p + h e_beta and p - h e_beta for ascending beta, of
+    each point p of a stack (..., n)."""
+    beta = np.arange(np.shape(p)[-1])
+    pts = np.repeat(np.asarray(p, dtype=float)[..., None, :], 2 * len(beta) + 1, axis=-2)
+    pts[..., 1 + beta, beta] += h
+    pts[..., 1 + len(beta) + beta, beta] -= h
     return pts
 
 
 def central_partials(values: Array, n: int, h: float) -> Array:
-    """d/dx_beta at p, beta ascending, of values given at the stencil rows."""
-    return (values[1:n + 1] - values[n + 1:]) / (2 * h)
+    """d/dx_beta, beta ascending, of values[point, row] at the stencil rows."""
+    return (values[:, 1:n + 1] - values[:, n + 1:]) / (2 * h)
 
 
 def central_d(values: Array, n: int, k: int, h: float) -> Array:
-    """Exterior derivative at p of a coordinate k-form from its values at the
-    rows of stencil_points(p, h), by central differences.
+    """Exterior derivative at each point of a coordinate k-form from its
+    values[point, row] at the rows of stencil_points, by central differences.
 
     d alpha = sum_beta dx^beta ^ (d alpha / dx^beta), summed in ascending beta.
     """
-    partials = central_partials(values, n, h)
     left, right, out, sign = _wedge_table(n, 1, k)
-    return np.bincount(out, weights=sign * partials[left, right],
-                       minlength=math.comb(n, k + 1))
+    partials = central_partials(values, n, h)
+    return _bincount(out, sign * partials[:, left, right], math.comb(n, k + 1))
 
 
 def numeric_d(form_fn: Callable[[Array], Array], n: int, k: int, p: Array,
               h: float = 1e-5) -> Array:
     """Exterior derivative of a coordinate k-form field by central FD."""
-    return central_d(np.array([form_fn(q) for q in stencil_points(p, h)]), n, k, h)
+    values = np.array([[form_fn(q) for q in stencil_points(p, h)]])
+    return central_d(values, n, k, h)[0]
 
 
 # ------------------------------------------------------------ coframes
@@ -115,7 +135,8 @@ def numeric_d(form_fn: Callable[[Array], Array], n: int, k: int, p: Array,
 
 @dataclass
 class CoframeField:
-    """Orthonormal coframe f^i = sum_j A_{ij}(p) dx^j on a box chart."""
+    """Orthonormal coframe f^i = sum_j A_{ij}(p) dx^j on a box chart; matrix
+    and matrix_jac map points (..., n) to (..., n, n) and (..., n, n, n)."""
 
     n: int
     domain: tuple
@@ -125,12 +146,12 @@ class CoframeField:
 
     def coeff(self, p: Array) -> Array:
         a = np.asarray(self.matrix(np.asarray(p, dtype=float)), dtype=float)
-        if a.shape != (self.n, self.n):
+        if a.shape != np.shape(p)[:-1] + (self.n, self.n):
             raise ValueError(f"coframe matrix must be {self.n}x{self.n}")
         return a
 
     def jacobian(self, p: Array) -> Array:
-        """J[i, j, k] = dA_ij / dx_k, closed-form when supplied, else FD."""
+        """J[..., i, j, k] = dA_ij / dx_k, closed-form when supplied, else FD."""
         p = np.asarray(p, dtype=float)
         if self.matrix_jac is not None:
             return np.asarray(self.matrix_jac(p), dtype=float)
@@ -138,12 +159,12 @@ class CoframeField:
 
     def fd_jacobian(self, p: Array, h: float) -> Array:
         p = np.asarray(p, dtype=float)
-        out = np.zeros((self.n, self.n, self.n))
+        out = np.zeros(p.shape[:-1] + (self.n, self.n, self.n))
         for k in range(self.n):
             pp, pm = p.copy(), p.copy()
-            pp[k] += h
-            pm[k] -= h
-            out[:, :, k] = (self.coeff(pp) - self.coeff(pm)) / (2 * h)
+            pp[..., k] += h
+            pm[..., k] -= h
+            out[..., k] = (self.coeff(pp) - self.coeff(pm)) / (2 * h)
         return out
 
     def sample_points(self, rng, count):
@@ -153,22 +174,36 @@ class CoframeField:
                 for _ in range(count)]
 
 
+def libm(fn: Callable[[float], float], x: Array) -> Array:
+    """fn from math at each element of x (numpy's exp may differ in a bit)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+class SingularCoframe(ValueError):
+    """The coframe matrix is singular at point ``index`` of a stack."""
+    def __init__(self, index: int):
+        super().__init__("coframe matrix is singular at the sample point")
+        self.index = index
+
+
 def _structure(cf: CoframeField, pts: Array):
-    """Coframe matrices A, frame vectors E = A^{-1} (e_j = sum_beta
-    E[beta, j] d/dx_beta) and structure functions c at each row of pts."""
-    a = np.array([cf.coeff(q) for q in pts])
-    if np.any(np.abs(np.linalg.det(a)) < 1e-12):
-        raise ValueError("coframe matrix is singular at the sample point")
+    """Coframe matrices A, frame vectors E = A^{-1} (e_j = sum_beta E[beta, j]
+    d/dx_beta) and structure functions c at the rows pts[point, row]."""
+    a = cf.coeff(pts)
+    singular = np.any(np.abs(np.linalg.det(a)) < 1e-12, axis=1)
+    if singular.any():
+        raise SingularCoframe(int(np.argmax(singular)))
     e = np.linalg.inv(a)
-    jac = np.array([cf.jacobian(q) for q in pts])  # [q, i, alpha, beta] = dA_{i alpha}/dx_beta
-    # m[q, i, j, k] = (e_j A_{i alpha}) e[alpha, k]
-    m = np.einsum("piab,pbj,pak->pijk", jac, e, e)
+    jac = cf.jacobian(pts)  # [..., i, alpha, beta] = dA_{i alpha}/dx_beta
+    # m[..., i, j, k] = (e_j A_{i alpha}) e[alpha, k]
+    m = np.einsum("...iab,...bj,...ak->...ijk", jac, e, e)
     return a, e, m.swapaxes(-1, -2) - m
 
 
 def structure_functions(cf: CoframeField, p: Array) -> Array:
     """c[i, j, k] = c^i_{jk} with df^i = -1/2 c^i_{jk} f^j wedge f^k."""
-    return _structure(cf, np.asarray(p, dtype=float)[None])[2][0]
+    return _structure(cf, np.asarray(p, dtype=float)[None, None])[2][0, 0]
 
 
 def levi_civita_cartan(c: Array) -> Array:
@@ -200,11 +235,11 @@ def skew_tensor(torsion: Array, n: int) -> Array:
 
 @dataclass
 class CurvatureReport:
-    riemann: Array            # R[i, j, l, k] = <R(e_i, e_j) e_k, e_l>
-    ric: Array                # Ric[j, k]
+    riemann: Array            # R[..., i, j, l, k] = <R(e_i, e_j) e_k, e_l>
+    ric: Array                # Ric[..., j, k]
     eigenvalues: Array
-    symmetry_error: float
-    scal: float
+    symmetry_error: float | Array
+    scal: float | Array
 
     @property
     def max_riemann(self):
@@ -216,55 +251,72 @@ class CurvatureReport:
 
 
 class Stencil:
-    """A coframe at p and at p +- h e_beta (rows of stencil_points), with the
-    coframe matrices ``a``, frame vectors ``e`` and structure functions ``c``
-    of every row; row 0 is p.  h defaults to the coframe's step."""
+    """A coframe at points p (P, n) and p +- h e_beta (rows of stencil_points),
+    with coframe matrices ``a``, frame vectors ``e`` and structure functions
+    ``c`` indexed [point, row]; row 0 is p.  h defaults to the coframe's step."""
 
-    def __init__(self, cf: CoframeField, p: Array, h: float | None = None):
+    def __init__(self, cf: CoframeField, points: Array, h: float | None = None):
         self.n = cf.n
         self.h = cf.h if h is None else h
-        self.a, self.e, self.c = _structure(cf, stencil_points(p, self.h))
+        self.a, self.e, self.c = _structure(cf, stencil_points(points, self.h))
 
     def d(self, values: Array, k: int) -> Array:
-        """d at p of a coordinate k-form given by its values at the rows."""
+        """d at each point of a coordinate k-form given at the rows."""
         return central_d(values, self.n, k, self.h)
 
     def curvature(self, t: Array | None = None,
                   symmetry_tol: float = 1e-6) -> CurvatureReport:
-        """Curvature, Ricci tensor and Ricci eigenvalues at p, for the
-        Levi-Civita connection or, given a dense skew tensor t, the metric
-        connection with that frame-constant torsion.
+        """Curvature, Ricci tensor and Ricci eigenvalues at each point, for
+        the Levi-Civita connection or, given a dense skew tensor t, the
+        metric connection with that frame-constant torsion.  An asymmetric
+        Levi-Civita Ricci tensor raises for the first such point.
 
         R(e_i, e_j) = e_i(M_j) - e_j(M_i) + [M_i, M_j] - c^m_{ij} M_m with
         (M_i)_{lk} = gamma_{ikl}; Ric_{jk} = sum_i R[i, j, i, k].
         """
-        n, c = self.n, self.c[0]
-        m = connection_coefficients(self.c, t).swapaxes(-1, -2)  # M[q, i][l][k]
-        m0 = m[0]
+        n, c = self.n, self.c[:, 0]
+        m = connection_coefficients(self.c, t).swapaxes(-1, -2)  # M[q, row, i][l][k]
+        m0 = m[:, 0]
         # coordinate partials of the M field, then convert to frame directions
         partials = central_partials(m, n, self.h)
-        # dm[i, j] = directional derivative of M_j along the frame vector e_i
-        dm = np.einsum("bjlk,bi->ijlk", partials, self.e[0])
-        prod = m0[:, None] @ m0[None, :]   # prod[i, j] = M_i M_j
-        riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
-        for mm in range(n):                # nonzero c^m_{ij} only, m ascending
-            i, j = np.nonzero(c[mm])
-            riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
-        ric = np.einsum("ijik->jk", riemann)
-        sym_err = float(np.max(np.abs(ric - ric.T)))
-        if sym_err > symmetry_tol and t is None:
+        # dm[q, i, j] = directional derivative of M_j along the frame vector e_i
+        dm = np.einsum("...bjlk,...bi->...ijlk", partials, self.e[:, 0])
+        prod = m0[:, :, None] @ m0[:, None, :]   # prod[q, i, j] = M_i M_j
+        riemann = dm - dm.swapaxes(1, 2) + prod - prod.swapaxes(1, 2)
+        for mm in range(n):   # where c^m_{ij} != 0 only, m ascending, as per point
+            np.subtract(riemann, c[:, mm, :, :, None, None] * m0[:, mm, None, None],
+                        out=riemann, where=(c[:, mm] != 0)[..., None, None])
+        ric = np.einsum("...ijik->...jk", riemann)
+        sym_err = np.max(np.abs(ric - ric.swapaxes(-1, -2)), axis=(-2, -1))
+        if t is None and np.any(sym_err > symmetry_tol):
             raise ValueError(
-                f"Ricci asymmetry {sym_err:.3e} exceeds {symmetry_tol:.1e}; "
+                f"Ricci asymmetry {sym_err[np.argmax(sym_err > symmetry_tol)]:.3e} "
+                f"exceeds {symmetry_tol:.1e}; "
                 "step too large or point too close to the domain edge")
-        eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
-        return CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
+        eig = np.linalg.eigvalsh(0.5 * (ric + ric.swapaxes(-1, -2)))
+        return CurvatureReport(riemann, ric, eig, sym_err, np.trace(ric, axis1=1, axis2=2))
+
+
+def stencils(cf: CoframeField, points):
+    """Stencils over runs of CHUNK points in order; at a singular coframe the
+    points before it come first, then the error, as a per-point loop has it."""
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start:start + CHUNK]
+        try:
+            st = Stencil(cf, chunk)
+        except SingularCoframe as exc:
+            if exc.index:
+                yield Stencil(cf, chunk[:exc.index])
+            raise
+        yield st
 
 
 def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
                   h: float | None = None, symmetry_tol: float = 1e-6) -> CurvatureReport:
     """Curvature at an interior point p, for an optional frame torsion 3-form."""
     t = None if torsion is None else skew_tensor(torsion, cf.n)
-    return Stencil(cf, p, h).curvature(t, symmetry_tol)
+    rep = Stencil(cf, np.asarray(p, dtype=float)[None], h).curvature(t, symmetry_tol)
+    return CurvatureReport(*(value[0] for value in vars(rep).values()))
 
 
 def torsion_ricci(t: Array) -> Array:
@@ -279,10 +331,10 @@ def flat_coframe(n: int, box=None) -> CoframeField:
     box = box or tuple((0.0, 1.0) for _ in range(n))
 
     def matrix(p):
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), p.shape[:-1] + (n, n))
 
     def jac(p):
-        return np.zeros((n, n, n))
+        return np.zeros(p.shape[:-1] + (n, n, n))
 
     return CoframeField(n, box, matrix, jac)
 
@@ -291,13 +343,14 @@ def sphere_coframe(radius: float = 1.0) -> CoframeField:
     """Round 2-sphere chart: f^1 = r dtheta, f^2 = r sin(theta) dphi."""
 
     def matrix(p):
-        theta = p[0]
-        return np.array([[radius, 0.0], [0.0, radius * math.sin(theta)]])
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = radius
+        out[..., 1, 1] = radius * libm(math.sin, p[..., 0])
+        return out
 
     def jac(p):
-        theta = p[0]
-        out = np.zeros((2, 2, 2))
-        out[1, 1, 0] = radius * math.cos(theta)
+        out = np.zeros(p.shape[:-1] + (2, 2, 2))
+        out[..., 1, 1, 0] = radius * libm(math.cos, p[..., 0])
         return out
 
     return CoframeField(2, ((0.4, math.pi - 0.4), (0.0, 2 * math.pi)),

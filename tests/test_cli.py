@@ -256,6 +256,41 @@ def test_theorem1_command(capsys):
     assert float(payload["max_r_nabla"]) > 0.01
 
 
+def test_nan_residual_at_a_later_point_fails_closed(capsys, monkeypatch):
+    """A NaN residual at the second of three points reaches the payload and
+    the verdict; a running max(acc, value) would keep acc and pass."""
+    import numpy as np
+
+    from g2torsion import coframe
+
+    curvature = coframe.Stencil.curvature
+
+    def planted(self, t=None, symmetry_tol=1e-6):
+        rep = curvature(self, t, symmetry_tol)
+        if t is None and len(rep.scal) == 3:     # the conclusions' points only
+            rep.scal[1] = np.nan
+        return rep
+
+    monkeypatch.setattr(coframe.Stencil, "curvature", planted)
+    code, payload = run_json(capsys, ["theorem1", "--grid", "200", "--points", "3"])
+    assert payload["residuals"]["scal"] == "nan"
+    assert payload["passed"] is False
+    assert code == 1
+
+
+def test_theorem1_hypotheses_ignore_points_and_seed(capsys):
+    """The hypotheses are measured at 10 fixed points (default_rng(7)),
+    whatever --points and --seed say; only the conclusions follow them."""
+    panels = []
+    for points, seed in (("1", "0"), ("5", "0"), ("1", "7"), ("5", "7")):
+        code, payload = run_json(capsys, ["theorem1", "--a", "0.25", "--grid", "200",
+                                          "--points", points, "--seed", seed])
+        assert code == 0
+        panels.append((payload["hypotheses"], payload["residuals"]))
+    assert all(hyp == panels[0][0] for hyp, _ in panels)
+    assert panels[0][1] != panels[1][1] and panels[0][1] != panels[2][1]
+
+
 def test_zero_parameter_verdicts_hold_by_measurement(capsys):
     """At a = 0 the torsion and the Ricci target vanish; the curvature is
     still visibly nonzero and the eigenvalues still split as {0, 0, 0, 0}."""

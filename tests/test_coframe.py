@@ -164,12 +164,13 @@ def test_asymmetric_ricci_raises_without_torsion():
         # garbage non-integrable coframe; a big FD step makes the Ricci
         # visibly asymmetric (needs n >= 3: in 2 dimensions skewness of the
         # curvature endomorphism forces symmetric Ricci identically)
-        x, y, z = p
-        return np.array([
-            [1.0 + 0.5 * math.sin(4 * x * y), 0.3 * y * z, 0.1 * z],
-            [0.0, 1.0 + 0.5 * math.cos(3 * x + z), 0.2 * x * y],
-            [0.1 * y, 0.0, 1.0 + 0.4 * math.sin(2 * y)],
-        ])
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        zero = np.zeros_like(x)
+        return np.stack([
+            np.stack([1.0 + 0.5 * np.sin(4 * x * y), 0.3 * y * z, 0.1 * z], -1),
+            np.stack([zero, 1.0 + 0.5 * np.cos(3 * x + z), 0.2 * x * y], -1),
+            np.stack([0.1 * y, zero, 1.0 + 0.4 * np.sin(2 * y)], -1),
+        ], -2)
 
     cf = co.CoframeField(3, ((0.1, 0.9),) * 3, matrix, h=0.25)
     with pytest.raises(ValueError, match="asymmetry"):

@@ -9,6 +9,7 @@ float goldens compare finite-difference noise at 1e-12.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from g2torsion import bundle as bd
 from g2torsion import coframe as co
 from g2torsion.liouville import solve_liouville
 
-from .util import (reference_levi_civita, reference_numeric_d,
-                   reference_riemann_ricci, reference_structure_functions)
+from .util import (reference_frame_to_coords, reference_levi_civita,
+                   reference_numeric_d, reference_riemann_ricci,
+                   reference_structure_functions, singular_coframe)
 
 BUNDLES = {a: bd.assemble_N5(solve_liouville(a, n=200)) for a in (0.0, 0.25, 0.5)}
 
@@ -76,7 +78,7 @@ def test_stencil_d_equals_per_call_reference(cf):
     n = cf.n
     for p in cf.sample_points(np.random.default_rng(23), 4):
         for h in (1e-5, 2e-4):
-            st = co.Stencil(cf, p, h)
+            st = co.Stencil(cf, p[None], h)
             for k in range(n):
                 comps = np.arange(1.0, math.comb(n, k) + 1)
 
@@ -84,7 +86,7 @@ def test_stencil_d_equals_per_call_reference(cf):
                     return co.frame_to_coords(comps, cf.coeff(q), k)
 
                 want = reference_numeric_d(form, n, k, p, h)
-                assert np.array_equal(st.d(co.frame_to_coords(comps, st.a, k), k), want)
+                assert np.array_equal(st.d(co.frame_to_coords(comps, st.a, k), k)[0], want)
                 assert np.array_equal(co.numeric_d(form, n, k, p, h), want)
 
 
@@ -102,12 +104,104 @@ def test_stencil_rows_are_the_displaced_points():
 
 def test_singular_coframe_is_rejected_at_any_row():
     """The singularity check covers the displaced rows, not only p."""
-    def matrix(p):
-        return np.diag([1.0, p[0] - 0.5 - 1e-5])
-
-    cf = co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), matrix, h=1e-5)
+    cf = singular_coframe(0.5 + 1e-5)
     with pytest.raises(ValueError, match="singular"):
-        co.Stencil(cf, np.array([0.5, 0.5]))
+        co.Stencil(cf, np.array([[0.5, 0.5]]))
+
+
+# ------------------------------------------------------------ stacks of points
+
+
+@pytest.mark.parametrize("count", [1, 2, 16, 17, 33])
+@pytest.mark.parametrize("cf, torsion", [case[1:] for case in FRAMES],
+                         ids=[case[0] for case in FRAMES])
+def test_batched_stencil_equals_per_point_references(cf, torsion, count):
+    """A Stencil over a stack of points, and the chunks of ``stencils``,
+    give each point the per-call references' values, at a = 0 as well."""
+    points = np.array(cf.sample_points(np.random.default_rng(31), count))
+    t = None if torsion is None else co.skew_tensor(torsion, cf.n)
+    st = co.Stencil(cf, points)
+    rep = st.curvature(t)
+    chunked = [s.curvature(t) for s in co.stencils(cf, points)]
+    assert len(chunked) == -(-count // co.CHUNK)
+    comps = [np.arange(1.0, math.comb(cf.n, k) + 1) for k in range(cf.n)]
+    d = [st.d(co.frame_to_coords(comps[k], st.a, k), k) for k in range(cf.n)]
+    for q, p in enumerate(points):
+        want = reference_riemann_ricci(cf, p, torsion)
+        for name in ("riemann", "ric", "eigenvalues"):
+            assert np.array_equal(getattr(rep, name)[q], getattr(want, name)), name
+        assert rep.symmetry_error[q] == want.symmetry_error
+        assert rep.scal[q] == want.scal
+        assert np.array_equal(st.c[q, 0], reference_structure_functions(cf, p))
+        for k in range(cf.n):
+            def form(x, k=k):
+                return reference_frame_to_coords(comps[k], cf.coeff(x), k)
+            assert np.array_equal(d[k][q], reference_numeric_d(form, cf.n, k, p, cf.h))
+    for name in ("riemann", "ric", "eigenvalues", "scal"):
+        assert np.array_equal(np.concatenate([getattr(r, name) for r in chunked]),
+                              getattr(rep, name)), name
+
+
+@pytest.mark.parametrize("cf", [case[1] for case in PLAIN],
+                         ids=[case[0] for case in PLAIN])
+def test_one_row_minors_equal_the_full_compound(cf):
+    """A frame form with at most one nonzero component reads one row of
+    minors; the coordinates equal components @ compound(a, k) bit for bit,
+    for the zero form too, on a single matrix and on stencil stacks."""
+    n = cf.n
+    st = co.Stencil(cf, np.array(cf.sample_points(np.random.default_rng(5), 3)))
+    for a in (st.a, st.a[0, 0], st.e[:, 0]):
+        for k in range(n + 1):
+            size = math.comb(n, k)
+            forms = [np.zeros(size)]
+            for q in range(size):
+                forms.append(np.zeros(size))
+                forms[-1][q] = (-1.0) ** q * (0.75 + q)
+            for comps in forms:
+                got = co.frame_to_coords(comps, a, k)
+                assert got.shape == a.shape[:-2] + (size,)
+                assert np.array_equal(got, reference_frame_to_coords(comps, a, k))
+
+
+def test_singular_coframe_at_second_point_raises_the_same_message():
+    cf = singular_coframe(0.5)
+    points = np.array([[0.3, 0.5], [0.5, 0.5], [0.7, 0.5]])
+    with pytest.raises(ValueError, match="^coframe matrix is singular at the sample point$"):
+        co.Stencil(cf, points)
+    chunks = co.stencils(cf, points)
+    assert len(next(chunks).a) == 1     # the point before it comes first
+    with pytest.raises(ValueError, match="^coframe matrix is singular at the sample point$"):
+        next(chunks)
+    with pytest.raises(ValueError, match="^coframe matrix is singular at the sample point$"):
+        bd.kahler_ricci_eigenvalues(cf, points)
+
+
+def test_errors_are_raised_for_the_first_failing_point():
+    """A Ricci asymmetry at one point and a singular coframe at the next
+    raise in point order, as a loop over single points meets them."""
+    def matrix(p):
+        # non-integrable; a big FD step makes the Ricci visibly asymmetric
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        a = np.zeros(p.shape[:-1] + (3, 3))
+        a[..., 0, 0] = 1.0 + 0.5 * np.sin(4 * x * y)
+        a[..., 0, 1] = 0.3 * y * z
+        a[..., 1, 1] = 1.0 + 0.5 * np.cos(3 * x + z)
+        a[..., 1, 2] = 0.2 * x * y
+        a[..., 2, 0] = 0.1 * y * (x - 0.7)
+        a[..., 2, 2] = x - 0.7          # singular on x = 0.7
+        return a
+
+    cf = co.CoframeField(3, ((0.1, 0.9),) * 3, matrix, h=0.25)
+    asymmetric, singular = [0.3, 0.5, 0.5], [0.7, 0.5, 0.5]
+    # the messages of the per-point loop this replaced
+    asymmetry = re.escape("Ricci asymmetry 2.523e+00 exceeds 1.0e-06; step too "
+                          "large or point too close to the domain edge")
+    with pytest.raises(ValueError, match=f"^{asymmetry}$"):
+        bd.kahler_ricci_eigenvalues(cf, [asymmetric, singular])
+    with pytest.raises(ValueError, match="^coframe matrix is singular at the sample point$"):
+        bd.kahler_ricci_eigenvalues(cf, [singular, asymmetric])
+    with pytest.raises(ValueError, match=f"^{asymmetry}$"):
+        bd.kahler_ricci_eigenvalues(cf, [asymmetric] * co.CHUNK + [singular])
 
 
 # ------------------------------------------------------------ bundle reports

@@ -150,6 +150,22 @@ def reference_quadric_member(b, mu):
     return None
 
 
+def singular_coframe(x_singular, h=1e-5):
+    """diag(1, x - x_singular) on the unit square: singular on x = x_singular."""
+    def matrix(p):
+        a = np.zeros(p.shape[:-1] + (2, 2))
+        a[..., 0, 0] = 1.0
+        a[..., 1, 1] = p[..., 0] - x_singular
+        return a
+
+    return co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), matrix, h=h)
+
+
+def reference_frame_to_coords(components, a, k):
+    """One product with the full k-th compound matrix, for any form."""
+    return components @ co.compound(a, k)
+
+
 def reference_structure_functions(cf, p):
     """c^i_{jk} at one point from its own coframe, inverse and jacobian."""
     p = np.asarray(p, dtype=float)
