@@ -33,6 +33,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import classifier, pipeline
 from .forms import Form, parse_form
@@ -356,7 +357,10 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The CLI parser, built once per process: parse_args keeps no state in
+    it, so every main() call can reuse it."""
     top = argparse.ArgumentParser(
         prog="g2torsion",
         description="Exact and numerical verification toolkit for "

@@ -5,12 +5,15 @@ u = u(x), satisfies
 
     u'' = -8 a^2 x e^u        on [x0, x1], x0 > 0,
 
-with Dirichlet boundary values.  A damped Newton iteration on the central
-finite-difference discretization drives the discrete residual below a strict
-tolerance; a Richardson pass on a doubled grid removes the leading O(h^2)
-discretization error; and the result is packaged as a C^2 quintic Hermite
-evaluator whose second derivative at the nodes is taken from the ODE itself,
-so downstream curvature checks see a solution accurate to ~1e-10.
+with Dirichlet boundary values.  The central finite-difference discretization
+is solved in two phases: damped float64 Newton steps carry the iterate into
+the quadratic region, where the residual is below POLISH_BELOW, and Newton
+steps with a long-double residual then polish it to a strict tolerance, below
+the ~eps/h^2 floor a float64 residual cannot beat.  A Richardson pass on a
+doubled grid removes the leading O(h^2) discretization error, and the result
+is packaged as a C^2 quintic Hermite evaluator whose second derivative at the
+nodes is taken from the ODE itself, so downstream curvature checks see a
+solution accurate to ~1e-10.
 quintic_hermite builds the Bernstein coefficients of such an evaluator for
 all intervals in one vectorised step.
 
@@ -28,6 +31,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+# Residual max-norm below which the damped float64 Newton phase hands the
+# iterate to the long-double polish.  Below it the full step converges
+# quadratically, so damping buys nothing, and float64 steps would only grind
+# on the rounding floor.
+POLISH_BELOW = 1e-6
 
 
 class Bernstein:
@@ -235,13 +244,6 @@ class LiouvilleSolution:
     trace: tuple
     richardson_correction: float  # max-norm of the correction; 0.0 without
 
-    def rhs(self, x):
-        """The ODE right-hand side -8 a^2 x e^{u(x)} at x."""
-        return -8.0 * self.config.a ** 2 * np.asarray(x) * np.exp(self.u(x))
-
-    def is_concave(self):
-        return bool(np.all(self.d2u(self.grid) <= 1e-12))
-
 
 def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
     """Solve the discrete system on n intervals.
@@ -249,11 +251,13 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
     Returns (grid, u, res, iters, trace), trace being the residual max-norm
     before the first and after every Newton step.
 
-    Iterates until the residual reaches newton_tol or its rounding floor
-    (second differences of O(1) values divided by h^2 cannot beat
-    ~eps/h^2); raises if the final residual still exceeds cap.  A Newton
-    matrix with a zero or non-finite pivot ends the iteration like a
-    rejected step.
+    Two phases.  Damped float64 Newton steps run until the residual is below
+    POLISH_BELOW (or newton_tol, max_iter, or a step the line search cannot
+    make descend); then at most four Newton steps with a long-double residual
+    take it to newton_tol, which a float64 residual cannot reach: second
+    differences of O(1) values divided by h^2 bottom out at ~eps/h^2.  Raises
+    if the final residual still exceeds cap.  A Newton matrix with a zero or
+    non-finite pivot ends either phase like a rejected step.
     """
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
     h = (cfg.x1 - cfg.x0) / n
@@ -280,7 +284,9 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
     norm = float(np.max(np.abs(res)))
     trace = [norm]
     iters = 0
-    while norm > cfg.newton_tol and iters < cfg.max_iter:
+    # phase 1: damped float64 Newton into the quadratic region
+    while norm > cfg.newton_tol and norm >= POLISH_BELOW \
+            and iters < cfg.max_iter:
         step = newton_step(u, -res[1:-1])
         if step is None:
             break          # no step to take: rejected like a non-descent
@@ -295,17 +301,17 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
                 break
             lam *= 0.5
         if not improved:
-            break          # at the rounding floor of the discretization
+            break          # no descent: the solve stalled
         trace.append(norm)
         iters += 1
 
-    # Iterative refinement in extended precision.  The double-precision
-    # residual plateaus at ~eps/h^2; that node-level noise would be blown up
-    # by 1/h^2 again in the second derivative of the interpolant, so polish
-    # the iterate with a long-double residual (Jacobian stays float64).
-    # Skipped when the damped phase stalled far from a solution (the problem
-    # has a fold: large a admits no solution and Newton cannot converge);
-    # the cap check below then reports the failure.
+    # phase 2: polish in extended precision.  The float64 residual plateaus
+    # at ~eps/h^2; that node-level noise would be blown up by 1/h^2 again in
+    # the second derivative of the interpolant, so the iterate is refined
+    # with a long-double residual (the Jacobian stays float64).  Skipped when
+    # the damped phase stalled far from a solution (the problem has a fold:
+    # large a admits no solution and Newton cannot converge); the cap check
+    # below then reports the failure.
     xl = x.astype(np.longdouble)
     ul = u.astype(np.longdouble)
     cl = np.longdouble(coeff)
@@ -317,7 +323,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
             + cl * xl[1:-1] * np.exp(uv[1:-1])
         return r
 
-    if norm < 1e-6:
+    if norm < POLISH_BELOW:
         for _ in range(4):
             rl = residual_ld(ul)
             norm = float(np.max(np.abs(rl)))
@@ -391,9 +397,8 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
 
     The reported residual is the max-norm of the plugged-back second-order
     discretization on the solve grid; the solver raises if it cannot be
-    driven below residual_cap.  The doubled-grid Richardson pass uses a cap
-    scaled with its own rounding floor (its values, not its residual, feed
-    the correction).
+    driven below residual_cap, on the solve grid and on the doubled
+    Richardson grid alike.
     """
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
                           u0=float(boundary[0]), u1=float(boundary[1]), n=n,
@@ -424,19 +429,3 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
     d2poly = dpoly.derivative()
     return LiouvilleSolution(cfg, x, np.asarray(values, dtype=float), norm,
                              iters, poly, dpoly, d2poly, traces, correction)
-
-
-def refinement_orders(a, domain=(1.0, 2.0), boundary=(0.0, 0.0),
-                      grids=(25, 50, 100, 200)) -> list[float]:
-    """Observed convergence orders of the raw (non-Richardson) solve.
-
-    Compares successive solutions against a fine reference solution and
-    returns log2 error ratios; second-order discretization gives values
-    near 2.
-    """
-    ref = solve_liouville(a, domain, boundary, n=4 * grids[-1], richardson=True)
-    errors = []
-    for n in grids:
-        sol = solve_liouville(a, domain, boundary, n=n, richardson=False)
-        errors.append(float(np.max(np.abs(sol.values - ref.u(sol.grid)))))
-    return [math.log(errors[i] / errors[i + 1], 2) for i in range(len(errors) - 1)]

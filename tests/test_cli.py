@@ -507,6 +507,28 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_reused_parser_keeps_no_state(capsys):
+    """main() reuses one parser; after a rejected argv, a lemma without --mu
+    and a det-e2 print what fresh processes print."""
+    from g2torsion.cli import build_parser
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "--m1", "1", "--m2", "2", "--m3", "3", "--mu", "x"])
+    assert exc.value.code == 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    capsys.readouterr()
+    for argv in (["lemma", "--m1", "1", "--m2", "2", "--m3", "3"],
+                 ["det-e2", "--b", "1", "--mu", "7"]):
+        argv = argv + ["--format", "json"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "g2torsion.cli"] + argv,
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
 def test_text_format_mentions_pass(capsys):
     code = main(["kernels"])
     out = capsys.readouterr().out

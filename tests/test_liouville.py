@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from g2torsion import liouville
-from g2torsion.liouville import (Bernstein, LiouvilleConfig, quintic_hermite,
-                                 refinement_orders, solve_liouville,
+from g2torsion.liouville import (POLISH_BELOW, Bernstein, LiouvilleConfig,
+                                 quintic_hermite, solve_liouville,
                                  tridiagonal_solve)
+
+from .util import is_concave, ode_rhs, refinement_orders
 
 RNG = np.random.default_rng(11)
 
@@ -60,7 +62,7 @@ def test_evaluator_derivative_consistency():
 
 def test_solution_is_concave_for_positive_parameter():
     sol = solve_liouville(0.5)
-    assert sol.is_concave()
+    assert is_concave(sol)
     assert np.all(sol.u(np.linspace(1.01, 1.99, 21)) > 0.0)  # above the chord
 
 
@@ -69,7 +71,7 @@ def test_rhs_helper_matches_definition():
     sol = solve_liouville(a)
     xs = np.array([1.25, 1.5, 1.75])
     want = -8 * a * a * xs * np.exp(sol.u(xs))
-    assert np.allclose(sol.rhs(xs), want, rtol=0, atol=1e-13)
+    assert np.allclose(ode_rhs(sol, xs), want, rtol=0, atol=1e-13)
 
 
 def test_refinement_is_second_order():
@@ -143,6 +145,44 @@ def test_newton_trace_and_richardson_correction_are_kept():
     # the extrapolant u_h + 4 (u_{h/2} - u_h)/3 moves the raw nodes by 4 corr
     assert np.max(np.abs(sol.values - raw.values)) == pytest.approx(
         4 * sol.richardson_correction, rel=1e-6)
+
+
+def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
+    """Float64 Newton stops at the first residual below POLISH_BELOW instead
+    of grinding on its rounding floor: 7 tridiagonal solves for a = 0.25 on
+    1600 and 3200 intervals, where stepping on to the floor took 13."""
+    solves = []
+
+    def counting(*args):
+        solves.append(None)
+        return tridiagonal_solve(*args)
+
+    monkeypatch.setattr(liouville, "tridiagonal_solve", counting)
+    sol = solve_liouville(0.25, n=1600)
+    assert len(solves) <= 7
+    assert sol.residual_norm < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.05, 0.25, 0.45, 0.5])
+@pytest.mark.parametrize("n", [50, 200, 1600])
+def test_trace_leaves_float64_at_the_first_residual_below_threshold(a, n):
+    """Each trace runs float64 residuals down to the first one below
+    POLISH_BELOW; every later entry belongs to the polish, which takes at
+    most four steps."""
+    for trace in solve_liouville(a, n=n).trace:
+        first = next(i for i, t in enumerate(trace) if t < POLISH_BELOW)
+        assert len(trace) - (first + 1) <= 4, trace
+
+
+@pytest.mark.parametrize("n", [200, 1600])
+def test_fold_between_053_and_054(n):
+    """The solvable range ends between a = 0.53 and 0.54 (the fold of the
+    problem on [1, 2] with zero boundary values): the handoff to the polish
+    neither loses the last convergent a nor lets the first divergent one
+    through."""
+    assert solve_liouville(0.53, n=n).residual_norm < 1e-10
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_liouville(0.54, n=n)
 
 
 def test_memo_hit_returns_the_fresh_value():

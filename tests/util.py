@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, isqrt, log
 
 import numpy as np
 from hypothesis import strategies as st
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from g2torsion import coframe as co
 from g2torsion.forms import Form, basis_indices
 from g2torsion.linalg import frac, identity, matmul, transpose
+from g2torsion.liouville import solve_liouville
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -227,3 +228,31 @@ def reference_riemann_ricci(cf, p, torsion=None, h=None, symmetry_tol=1e-6):
         raise ValueError(f"Ricci asymmetry {sym_err:.3e}")
     eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
     return co.CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
+
+
+# Checks on a Liouville solution that only the tests use.
+
+
+def ode_rhs(sol, x):
+    """The ODE right-hand side -8 a^2 x e^{u(x)} at x."""
+    return -8.0 * sol.config.a ** 2 * np.asarray(x) * np.exp(sol.u(x))
+
+
+def is_concave(sol):
+    return bool(np.all(sol.d2u(sol.grid) <= 1e-12))
+
+
+def refinement_orders(a, domain=(1.0, 2.0), boundary=(0.0, 0.0),
+                      grids=(25, 50, 100, 200)):
+    """Observed convergence orders of the raw (non-Richardson) solve.
+
+    Compares successive solutions against a fine reference solution and
+    returns log2 error ratios; second-order discretization gives values
+    near 2.
+    """
+    ref = solve_liouville(a, domain, boundary, n=4 * grids[-1], richardson=True)
+    errors = []
+    for n in grids:
+        sol = solve_liouville(a, domain, boundary, n=n, richardson=False)
+        errors.append(float(np.max(np.abs(sol.values - ref.u(sol.grid)))))
+    return [log(errors[i] / errors[i + 1], 2) for i in range(len(errors) - 1)]
