@@ -196,8 +196,15 @@ def _structure(cf: CoframeField, pts: Array):
         raise SingularCoframe(int(np.argmax(singular)))
     e = np.linalg.inv(a)
     jac = cf.jacobian(pts)  # [..., i, alpha, beta] = dA_{i alpha}/dx_beta
-    # m[..., i, j, k] = (e_j A_{i alpha}) e[alpha, k]
-    m = np.einsum("...iab,...bj,...ak->...ijk", jac, e, e)
+    # m[..., i, j, k] = (e_j A_{i alpha}) e[alpha, k], summed over the
+    # (alpha, beta) columns where jac is nonzero at some row, in row-major
+    # order, with the products and sums of the three-operand einsum
+    # "...iab,...bj,...ak->...ijk" in its order: equal to it bit for bit, as a
+    # skipped term is an exact zero and a sum begun at +0 never reads -0.
+    m = np.zeros(jac.shape[:-2] + (cf.n, cf.n))
+    for alpha, beta in np.argwhere(jac.any(axis=tuple(range(jac.ndim - 2)))):
+        m += (jac[..., :, alpha, beta, None] * e[..., beta, None, :])[..., None] \
+            * e[..., alpha, None, None, :]
     return a, e, m.swapaxes(-1, -2) - m
 
 
@@ -293,7 +300,12 @@ class Stencil:
                 f"Ricci asymmetry {sym_err[np.argmax(sym_err > symmetry_tol)]:.3e} "
                 f"exceeds {symmetry_tol:.1e}; "
                 "step too large or point too close to the domain edge")
-        eig = np.linalg.eigvalsh(0.5 * (ric + ric.swapaxes(-1, -2)))
+        # a point with a non-finite Ricci tensor gets NaN eigenvalues, which
+        # fail every residual check, instead of a LAPACK convergence error
+        sym = 0.5 * (ric + ric.swapaxes(-1, -2))
+        finite = np.isfinite(sym).all(axis=(-2, -1))
+        eig = np.full(sym.shape[:-1], np.nan)
+        eig[finite] = np.linalg.eigvalsh(sym[finite])
         return CurvatureReport(riemann, ric, eig, sym_err, np.trace(ric, axis1=1, axis2=2))
 
 

@@ -9,11 +9,14 @@ with Dirichlet boundary values.  The central finite-difference discretization
 is solved in two phases: damped float64 Newton steps carry the iterate into
 the quadratic region, where the residual is below POLISH_BELOW, and Newton
 steps with a long-double residual then polish it to a strict tolerance, below
-the ~eps/h^2 floor a float64 residual cannot beat.  A Richardson pass on a
-doubled grid removes the leading O(h^2) discretization error, and the result
-is packaged as a C^2 quintic Hermite evaluator whose second derivative at the
-nodes is taken from the ODE itself, so downstream curvature checks see a
-solution accurate to ~1e-10.
+the ~eps/h^2 floor a float64 residual cannot beat.  The n-interval solve
+starts from the straight line between the boundary values.  A Richardson pass
+on a doubled grid removes the leading O(h^2) discretization error; that solve
+starts from the converged n-interval solution, prolonged to the 2n-interval
+grid by cubic interpolation (nested iteration), so it needs only a step or
+two.  The result is packaged as a C^2 quintic Hermite evaluator whose second
+derivative at the nodes is taken from the ODE itself, so downstream curvature
+checks see a solution accurate to ~1e-10.
 quintic_hermite builds the Bernstein coefficients of such an evaluator for
 all intervals in one vectorised step.
 
@@ -245,8 +248,9 @@ class LiouvilleSolution:
     richardson_correction: float  # max-norm of the correction; 0.0 without
 
 
-def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
-    """Solve the discrete system on n intervals.
+def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
+    """Solve the discrete system on n intervals from the n + 1 node values
+    ``start``, by default the straight line between the boundary values.
 
     Returns (grid, u, res, iters, trace), trace being the residual max-norm
     before the first and after every Newton step.
@@ -261,7 +265,10 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float):
     """
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
     h = (cfg.x1 - cfg.x0) / n
-    u = np.linspace(cfg.u0, cfg.u1, n + 1)     # straight-line start
+    if start is None:
+        u = np.linspace(cfg.u0, cfg.u1, n + 1)
+    else:
+        u = np.asarray(start, dtype=float)
     coeff = 8.0 * cfg.a ** 2
 
     def residual(uv):
@@ -376,6 +383,20 @@ def quintic_hermite(x, y, dy, d2y) -> Bernstein:
     return Bernstein(c, x)
 
 
+def prolong(u):
+    """Node values on the doubled grid of a function given at the nodes of a
+    uniform grid: the nodes are kept, and each midpoint takes the cubic
+    through the four nearest nodes, (-1, 9, 9, -1)/16 inside and
+    (5, 15, -5, 1)/16 at the two end intervals.  Exact for cubics."""
+    u = np.asarray(u)
+    fine = np.empty(2 * len(u) - 1, dtype=u.dtype)
+    fine[::2] = u
+    fine[3:-3:2] = (9 * (u[1:-2] + u[2:-1]) - (u[:-3] + u[3:])) / 16
+    fine[1] = (5 * u[0] + 15 * u[1] - 5 * u[2] + u[3]) / 16
+    fine[-2] = (5 * u[-1] + 15 * u[-2] - 5 * u[-3] + u[-4]) / 16
+    return fine
+
+
 def _fourth_order_first_derivative(x, u):
     """O(h^4) first derivative on a uniform grid (one-sided at the ends)."""
     n = len(u) - 1
@@ -406,8 +427,9 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
     x, u, norm, iters, trace = _newton_solve(cfg, cfg.n, residual_cap)
     traces, correction = (trace,), 0.0
     if cfg.richardson:
+        # nested iteration: the fine solve starts from the coarse solution
         _, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n,
-                                                     residual_cap)
+                                                     residual_cap, prolong(u))
         # O(h^2) error field on the coarse nodes (which sit at even positions
         # of the fine grid); it is smooth, so a cubic spline carries the
         # Richardson correction onto all fine nodes.

@@ -12,7 +12,7 @@ import pytest
 
 from g2torsion import liouville
 from g2torsion.liouville import (POLISH_BELOW, Bernstein, LiouvilleConfig,
-                                 quintic_hermite, solve_liouville,
+                                 prolong, quintic_hermite, solve_liouville,
                                  tridiagonal_solve)
 
 from .util import is_concave, ode_rhs, refinement_orders
@@ -132,8 +132,11 @@ def test_quintic_hermite_matches_scipy_bit_for_bit(nodes, uniform):
 def test_newton_trace_and_richardson_correction_are_kept():
     sol = solve_liouville(0.5, n=100)
     coarse, fine = sol.trace
+    # the coarse solve starts from the straight line, the fine one from the
+    # prolonged coarse solution, whose residual is about 1e-3 at h = 1/200
+    assert coarse[0] > 1.0 and fine[0] < 1e-2
     for trace in (coarse, fine):
-        assert trace[0] > 1.0 and trace[-1] < 1e-10
+        assert trace[-1] < 1e-10
         # damped steps only accept a smaller residual; the long-double
         # polish can stall at its own floor
         assert all(b < a for a, b in zip(trace, trace[1:]) if a > 1e-6)
@@ -149,8 +152,10 @@ def test_newton_trace_and_richardson_correction_are_kept():
 
 def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
     """Float64 Newton stops at the first residual below POLISH_BELOW instead
-    of grinding on its rounding floor: 7 tridiagonal solves for a = 0.25 on
-    1600 and 3200 intervals, where stepping on to the floor took 13."""
+    of grinding on its rounding floor, and the 3200-interval solve starts
+    from the 1600-interval solution: 5 tridiagonal solves for a = 0.25 (3
+    coarse, 1 fine and the spline's), where stepping on to the floor from two
+    straight lines took 13."""
     solves = []
 
     def counting(*args):
@@ -159,8 +164,25 @@ def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
 
     monkeypatch.setattr(liouville, "tridiagonal_solve", counting)
     sol = solve_liouville(0.25, n=1600)
-    assert len(solves) <= 7
+    assert len(solves) <= 5
     assert sol.residual_norm < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 100])
+def test_prolongation_reproduces_cubics(n):
+    """The doubled-grid start keeps the nodes and puts each midpoint on the
+    cubic through its four nearest nodes, so any cubic is reproduced on the
+    fine nodes to rounding, end intervals included."""
+    rng = np.random.default_rng(n)
+    x = np.linspace(1.0, 2.0, n + 1)
+    fine = np.linspace(1.0, 2.0, 2 * n + 1)
+    for _ in range(5):
+        cubic = np.polynomial.Polynomial(rng.normal(size=4))
+        got = prolong(cubic(x))
+        assert np.array_equal(got[::2], cubic(x))
+        assert np.max(np.abs(got - cubic(fine))) < 1e-13
+    # a quartic is not: inside, its midpoint error is 9/16 h^4
+    assert np.max(np.abs(prolong(x ** 4) - fine ** 4)) > 0.5 / n ** 4
 
 
 @pytest.mark.parametrize("a", [0.05, 0.25, 0.45, 0.5])

@@ -109,6 +109,81 @@ def test_singular_coframe_is_rejected_at_any_row():
         co.Stencil(cf, np.array([[0.5, 0.5]]))
 
 
+# ------------------------------------------------------------ structure functions
+
+
+def dense_coframe():
+    """A 3-frame with every entry of its matrix varying, for a dense
+    finite-difference jacobian (no closed form)."""
+    def matrix(p):
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        a = np.empty(p.shape[:-1] + (3, 3))
+        for i in range(3):
+            for j in range(3):
+                a[..., i, j] = (i == j) * 2.0 + 0.3 * np.sin((i + 1) * x + (j + 2) * y
+                                                            - (i + j + 1) * z)
+        return a
+
+    return co.CoframeField(3, ((0.1, 0.9),) * 3, matrix, h=1e-4)
+
+
+def contraction_cases():
+    """(id, coframe) for jacobians with 5 of n^2 columns nonzero (closed-form
+    Kaehler and N^5), 1 of 4 and 9 of 9 (finite differences), and none."""
+    for a in (0.25, 0.5):
+        yield f"kahler-{a}", BUNDLES[a].base
+        yield f"N5-{a}", BUNDLES[a].total
+    sphere = co.sphere_coframe(1.5)
+    yield "sphere-fd", co.CoframeField(2, sphere.domain, sphere.matrix, h=1e-4)
+    yield "dense-fd", dense_coframe()
+    yield "flat", co.flat_coframe(4)
+
+
+CONTRACTIONS = list(contraction_cases())
+
+
+@pytest.mark.parametrize("cf", [case[1] for case in CONTRACTIONS],
+                         ids=[case[0] for case in CONTRACTIONS])
+def test_structure_contraction_equals_einsum_bitwise(cf):
+    """_structure sums over the jacobian's nonzero (alpha, beta) columns only;
+    its structure functions equal the three-operand einsum's in every bit,
+    sign bits of zeros included."""
+    points = np.array(cf.sample_points(np.random.default_rng(41), co.CHUNK))
+    pts = co.stencil_points(points, cf.h)
+    _, e, c = co._structure(cf, pts)
+    m = np.einsum("...iab,...bj,...ak->...ijk", cf.jacobian(pts), e, e)
+    want = m.swapaxes(-1, -2) - m
+    assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
+
+
+def test_nan_coframe_row_reaches_structure_functions_and_verdict():
+    """A NaN coframe matrix at one point's rows makes exactly those rows'
+    structure functions NaN, although most jacobian columns are skipped,
+    and the Theorem-1 verdict fails instead of raising."""
+    data = BUNDLES[0.5]
+    points = np.array(data.total.sample_points(np.random.default_rng(43), 3))
+    bad_x = points[1, 0]
+
+    def matrix(p):
+        out = data.total.matrix(p)
+        out[p[..., 0] == bad_x] = np.nan
+        return out
+
+    cf = dataclasses.replace(data.total, matrix=matrix)
+    with np.errstate(invalid="ignore"):
+        st = co.Stencil(cf, points)
+        rep = bd.strominger_check(dataclasses.replace(data, total=cf), points)
+    poisoned = st.c.reshape(st.c.shape[:2] + (-1,))
+    hit = co.stencil_points(points, cf.h)[..., 0] == bad_x
+    assert hit[1].sum() == 2 * cf.n - 1 and not hit[[0, 2]].any()
+    assert np.isnan(poisoned[hit]).all()
+    assert np.isfinite(poisoned[~hit]).all()
+    assert np.isnan(rep.ricci_eigenvalues[1]).all()
+    assert np.isfinite(rep.ricci_eigenvalues[[0, 2]]).all()
+    assert math.isnan(rep.residuals["ricci_eigen"])
+    assert not bd.theorem1_passed(data.hypotheses, rep, 1e-6)
+
+
 # ------------------------------------------------------------ stacks of points
 
 
