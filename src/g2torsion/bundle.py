@@ -47,7 +47,8 @@ def kahler_coframe(sol: LiouvilleSolution) -> CoframeField:
     f^1 = e^{u/2} sqrt(x) dx, f^2 = e^{u/2} sqrt(x) dy, f^3 = sqrt(x) dz,
     f^4 = (dt + y dz)/sqrt(x); coordinates (x, y, z, t).  The x-derivatives
     are closed-form in (u, u'), so downstream curvature only differentiates
-    the connection coefficients numerically.
+    the connection coefficients numerically; matrix and jacobian share one
+    evaluation of sqrt(x), u, u' and e^{u/2} per point.
 
     Raises ValueError when the interval leaves no chart inside its margins.
     """
@@ -58,7 +59,7 @@ def kahler_coframe(sol: LiouvilleSolution) -> CoframeField:
                          f"chart keeps a margin of {MARGIN!r} from each end, "
                          f"so x1 - x0 must exceed {2 * MARGIN!r}")
 
-    def matrix(p):
+    def frame(p):
         x, y = p[..., 0], p[..., 1]
         s = np.sqrt(x)
         w = libm(math.exp, 0.5 * sol.u(x))
@@ -68,12 +69,6 @@ def kahler_coframe(sol: LiouvilleSolution) -> CoframeField:
         a[..., 2, 2] = s
         a[..., 3, 2] = y / s
         a[..., 3, 3] = 1.0 / s
-        return a
-
-    def matrix_jac(p):
-        x, y = p[..., 0], p[..., 1]
-        s = np.sqrt(x)
-        w = libm(math.exp, 0.5 * sol.u(x))
         j = np.zeros(p.shape[:-1] + (4, 4, 4))
         dws = w * (0.5 * sol.du(x) * s + 0.5 / s)       # d(e^{u/2} sqrt x)/dx
         j[..., 0, 0, 0] = dws
@@ -82,9 +77,9 @@ def kahler_coframe(sol: LiouvilleSolution) -> CoframeField:
         j[..., 3, 2, 0] = -0.5 * y / (x * s)
         j[..., 3, 2, 1] = 1.0 / s
         j[..., 3, 3, 0] = -0.5 / (x * s)
-        return j
+        return a, j
 
-    return CoframeField(4, (xs, BOX, BOX, BOX), matrix, matrix_jac)
+    return CoframeField(4, (xs, BOX, BOX, BOX), frame)
 
 
 def kahler_ricci_eigenvalues(cf: CoframeField, points) -> np.ndarray:
@@ -215,21 +210,19 @@ def assemble_N5(sol: LiouvilleSolution, points=None, rng=None) -> BundleData:
     fd = (potential(x + 1e-6) - potential(x - 1e-6)) / 2e-6
     hypotheses["potential_residual"] = float(np.max(np.abs(fd - exact)))
 
-    def matrix5(p):
-        m = np.zeros(p.shape[:-1] + (5, 5))
-        m[..., :4, :4] = base.matrix(p[..., :4])
-        m[..., 4, 4] = 1.0
-        m[..., 4, 1] = potential(p[..., 0])
-        return m
-
-    def jac5(p):
-        j = np.zeros(p.shape[:-1] + (5, 5, 5))
-        j[..., :4, :4, :4] = base.matrix_jac(p[..., :4])
+    def frame5(p):
         x = p[..., 0]
+        base_a, base_j = base.frame(p[..., :4])
+        m = np.zeros(p.shape[:-1] + (5, 5))
+        m[..., :4, :4] = base_a
+        m[..., 4, 4] = 1.0
+        m[..., 4, 1] = potential(x)
+        j = np.zeros(p.shape[:-1] + (5, 5, 5))
+        j[..., :4, :4, :4] = base_j
         j[..., 4, 1, 0] = 2.0 * a * x * libm(math.exp, sol.u(x))
-        return j
+        return m, j
 
-    total = CoframeField(5, base.domain + (BOX,), matrix5, jac5)
+    total = CoframeField(5, base.domain + (BOX,), frame5)
     torsion = _frame_form(5, (1, 2, 5), 2.0 * a)
     return BundleData(a, base, total, torsion, potential, hypotheses, sol)
 

@@ -135,37 +135,15 @@ def numeric_d(form_fn: Callable[[Array], Array], n: int, k: int, p: Array,
 
 @dataclass
 class CoframeField:
-    """Orthonormal coframe f^i = sum_j A_{ij}(p) dx^j on a box chart; matrix
-    and matrix_jac map points (..., n) to (..., n, n) and (..., n, n, n)."""
+    """Orthonormal coframe f^i = sum_j A_{ij}(p) dx^j on a box chart; frame
+    maps points (..., n) to the pair (A, J) of the coframe matrices
+    (..., n, n) and their jacobians J[..., i, j, k] = dA_ij / dx_k
+    (..., n, n, n), from one evaluation."""
 
     n: int
     domain: tuple
-    matrix: Callable[[Array], Array]
-    matrix_jac: Callable[[Array], Array] | None = None
+    frame: Callable[[Array], tuple[Array, Array]]
     h: float = 1e-5
-
-    def coeff(self, p: Array) -> Array:
-        a = np.asarray(self.matrix(np.asarray(p, dtype=float)), dtype=float)
-        if a.shape != np.shape(p)[:-1] + (self.n, self.n):
-            raise ValueError(f"coframe matrix must be {self.n}x{self.n}")
-        return a
-
-    def jacobian(self, p: Array) -> Array:
-        """J[..., i, j, k] = dA_ij / dx_k, closed-form when supplied, else FD."""
-        p = np.asarray(p, dtype=float)
-        if self.matrix_jac is not None:
-            return np.asarray(self.matrix_jac(p), dtype=float)
-        return self.fd_jacobian(p, self.h)
-
-    def fd_jacobian(self, p: Array, h: float) -> Array:
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (self.n, self.n, self.n))
-        for k in range(self.n):
-            pp, pm = p.copy(), p.copy()
-            pp[..., k] += h
-            pm[..., k] -= h
-            out[..., k] = (self.coeff(pp) - self.coeff(pm)) / (2 * h)
-        return out
 
     def sample_points(self, rng, count):
         """count points uniform in the middle 80% of each coordinate range."""
@@ -190,12 +168,14 @@ class SingularCoframe(ValueError):
 def _structure(cf: CoframeField, pts: Array):
     """Coframe matrices A, frame vectors E = A^{-1} (e_j = sum_beta E[beta, j]
     d/dx_beta) and structure functions c at the rows pts[point, row]."""
-    a = cf.coeff(pts)
+    a, jac = (np.asarray(v, dtype=float) for v in cf.frame(pts))
+    if a.shape != pts.shape[:-1] + (cf.n, cf.n):
+        raise ValueError(f"coframe matrix must be {cf.n}x{cf.n}")
     singular = np.any(np.abs(np.linalg.det(a)) < 1e-12, axis=1)
     if singular.any():
         raise SingularCoframe(int(np.argmax(singular)))
     e = np.linalg.inv(a)
-    jac = cf.jacobian(pts)  # [..., i, alpha, beta] = dA_{i alpha}/dx_beta
+    # jac[..., i, alpha, beta] = dA_{i alpha}/dx_beta
     # m[..., i, j, k] = (e_j A_{i alpha}) e[alpha, k], summed over the
     # (alpha, beta) columns where jac is nonzero at some row, in row-major
     # order, with the products and sums of the three-operand einsum
@@ -334,48 +314,3 @@ def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
 def torsion_ricci(t: Array) -> Array:
     """(1/4) sum_{i,j} T(x, e_i, e_j) T(y, e_i, e_j) for a dense skew tensor t."""
     return 0.25 * np.einsum("xij,yij->xy", t, t)
-
-
-# ------------------------------------------------------------ examples
-
-
-def flat_coframe(n: int, box=None) -> CoframeField:
-    box = box or tuple((0.0, 1.0) for _ in range(n))
-
-    def matrix(p):
-        return np.broadcast_to(np.eye(n), p.shape[:-1] + (n, n))
-
-    def jac(p):
-        return np.zeros(p.shape[:-1] + (n, n, n))
-
-    return CoframeField(n, box, matrix, jac)
-
-
-def sphere_coframe(radius: float = 1.0) -> CoframeField:
-    """Round 2-sphere chart: f^1 = r dtheta, f^2 = r sin(theta) dphi."""
-
-    def matrix(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = radius
-        out[..., 1, 1] = radius * libm(math.sin, p[..., 0])
-        return out
-
-    def jac(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2))
-        out[..., 1, 1, 0] = radius * libm(math.cos, p[..., 0])
-        return out
-
-    return CoframeField(2, ((0.4, math.pi - 0.4), (0.0, 2 * math.pi)),
-                        matrix, jac)
-
-
-def fd_convergence_order(cf: CoframeField, p: Array, h: float = 1e-3) -> float:
-    """Observed FD order against the closed-form jacobian (needs matrix_jac)."""
-    if cf.matrix_jac is None:
-        raise ValueError("closed-form jacobian required for the order test")
-    exact = cf.jacobian(p)
-    e1 = np.max(np.abs(cf.fd_jacobian(p, h) - exact))
-    e2 = np.max(np.abs(cf.fd_jacobian(p, h / 2) - exact))
-    if e2 == 0:
-        return float("inf")
-    return math.log(e1 / e2, 2)

@@ -29,9 +29,7 @@ results agree with scipy's bit for bit; scipy is a test-time oracle only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +48,8 @@ class Bernstein:
     end pieces.  Evaluation copies scipy's evaluate_bpoly1 operation for
     operation: degree 3 in closed form, every other degree as the sum of
     comb * s**j * s1**(k - j) * c[j] with libm pow, so the values agree with
-    BPoly(c, x) bit for bit.  A scalar argument is evaluated in plain Python
-    and memoised for the life of the polynomial; an array argument in numpy.
+    BPoly(c, x) bit for bit.  Every argument, a scalar included, is
+    evaluated in numpy.
     """
 
     def __init__(self, c, x):
@@ -61,36 +59,9 @@ class Bernstein:
         self._combs = [1.0]
         for j in range(k):
             self._combs.append(self._combs[-1] * (1.0 * (k - j) / (j + 1.0)))
-        self._memo = {}
-
-    @cached_property
-    def _pieces(self):
-        return self.x.tolist(), self.c.T.tolist()
 
     def __call__(self, x):
-        if isinstance(x, (float, int)):
-            value = self._memo.get(x)
-            if value is None:
-                value = self._memo[x] = self._scalar(float(x))
-            return value
-        return self._array(np.asarray(x, dtype=float))
-
-    def _scalar(self, x):
-        nodes, pieces = self._pieces
-        i = min(max(bisect_right(nodes, x) - 1, 0), len(pieces) - 1)
-        s = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
-        s1 = 1.0 - s
-        c = pieces[i]
-        k = len(c) - 1
-        if k == 3:
-            return (c[0] * s1 * s1 * s1 + c[1] * 3.0 * s1 * s1 * s
-                    + c[2] * 3.0 * s1 * s * s + c[3] * s * s * s)
-        res = 0.0
-        for j, comb in enumerate(self._combs):
-            res += comb * s ** j * s1 ** (k - j) * c[j]
-        return res
-
-    def _array(self, x):
+        x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(self.x, x, side="right") - 1,
                     0, self.c.shape[1] - 1)
         lo = self.x[i]

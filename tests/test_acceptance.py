@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from g2torsion import classifier as cl
-from g2torsion import coframe as co
 from g2torsion import bundle as bd
 from g2torsion import liegroup as lg
 from g2torsion import linalg
@@ -29,6 +28,8 @@ from g2torsion.g2 import (
 )
 from g2torsion.liouville import solve_liouville
 from g2torsion.spin import standard_rep
+
+from .util import fd_convergence_order, sphere_coframe
 
 SEED = 20240825
 
@@ -245,5 +246,5 @@ def test_criterion_13_randomized_property_suites():
             again = project3(parts[comp])
             assert again[comp] == parts[comp]
     # finite-difference convergence order on the closed-form sphere chart
-    order = co.fd_convergence_order(co.sphere_coframe(1.0), np.array([1.0, 0.5]))
+    order = fd_convergence_order(sphere_coframe(1.0), np.array([1.0, 0.5]))
     assert order > 1.9

@@ -6,6 +6,7 @@ torsion norm identity to 1e-8, and the characteristic-connection residuals
 to 1e-6 with visibly nonzero full curvature.
 """
 
+import collections
 import dataclasses
 import math
 
@@ -13,8 +14,11 @@ import numpy as np
 import pytest
 
 from g2torsion import bundle as bd
+from g2torsion import coframe as co
 from g2torsion.forms import basis_indices
-from g2torsion.liouville import solve_liouville
+from g2torsion.liouville import Bernstein, solve_liouville
+
+from .util import fd_convergence_order, fd_frame
 
 A = 0.5
 SOL = solve_liouville(A)
@@ -89,13 +93,13 @@ def test_bundle_assembly_and_potential():
 def test_bundle_coframe_shape():
     data = bd.assemble_N5(SOL)
     p = np.array([1.5, 0.1, -0.2, 0.3, 0.0])
-    m = data.total.coeff(p)
+    m = data.total.frame(p)[0]
     assert m.shape == (5, 5)
     # row 5 is eta = ds + Q(x) dy: unit fiber leg plus the potential in dy
     assert m[4, 4] == 1.0
     assert abs(m[4, 1] - data.potential(1.5)) < 1e-12
     # rows 1..4 embed the base coframe
-    base = data.base.coeff(p[:4])
+    base = data.base.frame(p[:4])[0]
     assert np.allclose(m[:4, :4], base)
 
 
@@ -153,3 +157,41 @@ def test_degenerate_case_at_zero_parameter():
     assert np.max(np.abs(report.ricci_eigenvalues)) < 1e-7
     assert report.max_r_nabla > 0.01
     assert report.non_flat
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5])
+def test_closed_form_jacobians_match_central_differences(a):
+    """The hand-written jacobians of the Kaehler and N^5 frames against a
+    central difference of their matrices: second order, and within 1e-7 at
+    h = 1e-4 (about 3e-8 at a = 1/2)."""
+    data = bd.assemble_N5(solve_liouville(a))
+    for cf in (data.base, data.total):
+        fd = fd_frame(lambda q, cf=cf: cf.frame(q)[0], cf.n, 1e-4)
+        for p in cf.sample_points(np.random.default_rng(19), 5):
+            assert 1.9 < fd_convergence_order(cf, p) < 2.1
+            assert np.max(np.abs(fd(p)[1] - cf.frame(p)[1])) < 1e-7
+
+
+def test_one_frame_evaluation_per_stencil(monkeypatch):
+    """strominger_check over one chunk of 16 points evaluates the quintic u
+    at most twice (e^{u/2} in the base frame, e^u in the potential's
+    derivative) and u' once, and libm's exp at most twice."""
+    data = bd.assemble_N5(SOL)
+    points = data.total.sample_points(np.random.default_rng(21), co.CHUNK)
+    calls, exps = collections.Counter(), collections.Counter()
+    evaluate, libm = Bernstein.__call__, bd.libm
+
+    def counting_evaluate(self, x):
+        calls[self] += 1
+        return evaluate(self, x)
+
+    def counting_libm(fn, x):
+        exps[fn] += 1
+        return libm(fn, x)
+
+    monkeypatch.setattr(Bernstein, "__call__", counting_evaluate)
+    monkeypatch.setattr(bd, "libm", counting_libm)
+    bd.strominger_check(data, points)
+    assert calls[SOL.u] <= 2
+    assert calls[SOL.du] == 1
+    assert exps[math.exp] <= 2

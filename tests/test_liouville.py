@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from g2torsion import liouville
-from g2torsion.liouville import (POLISH_BELOW, Bernstein, LiouvilleConfig,
-                                 prolong, quintic_hermite, solve_liouville,
+from g2torsion.liouville import (POLISH_BELOW, LiouvilleConfig, prolong,
+                                 quintic_hermite, solve_liouville,
                                  tridiagonal_solve)
 
 from .util import is_concave, ode_rhs, refinement_orders
@@ -205,18 +205,6 @@ def test_fold_between_053_and_054(n):
     assert solve_liouville(0.53, n=n).residual_norm < 1e-10
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_liouville(0.54, n=n)
-
-
-def test_memo_hit_returns_the_fresh_value():
-    sol = solve_liouville(0.25, n=200)
-    for x in (1.0, 1.37, np.float64(1.5), 2.0):
-        first = sol.u(x)
-        assert x in sol.u._memo
-        fresh = Bernstein(sol.u.c, sol.u.x)(float(x))
-        assert sol.u(x) == first == fresh
-        assert isinstance(first, float)
-    # an array argument is evaluated afresh and agrees with the memo
-    assert sol.u(np.array([1.37]))[0] == sol.u(1.37)
 
 
 def test_tridiagonal_solve_solves_and_fails_closed():

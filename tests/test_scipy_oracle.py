@@ -31,7 +31,7 @@ def test_evaluator_and_derivatives_match_bpoly(a, n):
         ref = interpolate.BPoly(ours.c, ours.x)
         want = ref(xs)
         assert np.array_equal(ours(xs), want)                       # array path
-        assert np.array_equal([ours(float(x)) for x in xs], want)   # scalar path
+        assert np.array_equal([ours(float(x)) for x in xs], want)   # one at a time
     bp = interpolate.BPoly(sol.u.c, sol.u.x)
     assert np.array_equal(sol.du.c, bp.derivative().c)
     assert np.array_equal(sol.d2u.c, bp.derivative(2).c)

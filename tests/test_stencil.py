@@ -18,9 +18,10 @@ from g2torsion import bundle as bd
 from g2torsion import coframe as co
 from g2torsion.liouville import solve_liouville
 
-from .util import (reference_frame_to_coords, reference_levi_civita,
-                   reference_numeric_d, reference_riemann_ricci,
-                   reference_structure_functions, singular_coframe)
+from .util import (fd_frame, flat_coframe, reference_frame_to_coords,
+                   reference_levi_civita, reference_numeric_d,
+                   reference_riemann_ricci, reference_structure_functions,
+                   singular_coframe, sphere_fd_coframe)
 
 BUNDLES = {a: bd.assemble_N5(solve_liouville(a, n=200)) for a in (0.0, 0.25, 0.5)}
 
@@ -61,10 +62,9 @@ def test_curvature_with_other_step_equals_reference():
 
 
 def test_finite_difference_jacobian_equals_reference():
-    """A coframe without a closed-form jacobian differentiates every stencil
-    row by its own nested finite difference."""
-    sphere = co.sphere_coframe(1.5)
-    cf = co.CoframeField(2, sphere.domain, sphere.matrix, h=1e-4)
+    """A frame whose jacobian is a nested finite difference of its matrix
+    differentiates every stencil row by its own displaced evaluations."""
+    cf = sphere_fd_coframe(1.5, 1e-4)
     for p in cf.sample_points(np.random.default_rng(8), 5):
         got, want = co.riemann_ricci(cf, p), reference_riemann_ricci(cf, p)
         assert np.array_equal(got.riemann, want.riemann)
@@ -83,7 +83,7 @@ def test_stencil_d_equals_per_call_reference(cf):
                 comps = np.arange(1.0, math.comb(n, k) + 1)
 
                 def form(q, comps=comps, k=k):
-                    return co.frame_to_coords(comps, cf.coeff(q), k)
+                    return co.frame_to_coords(comps, cf.frame(q)[0], k)
 
                 want = reference_numeric_d(form, n, k, p, h)
                 assert np.array_equal(st.d(co.frame_to_coords(comps, st.a, k), k)[0], want)
@@ -124,7 +124,7 @@ def dense_coframe():
                                                             - (i + j + 1) * z)
         return a
 
-    return co.CoframeField(3, ((0.1, 0.9),) * 3, matrix, h=1e-4)
+    return co.CoframeField(3, ((0.1, 0.9),) * 3, fd_frame(matrix, 3, 1e-4), h=1e-4)
 
 
 def contraction_cases():
@@ -133,10 +133,9 @@ def contraction_cases():
     for a in (0.25, 0.5):
         yield f"kahler-{a}", BUNDLES[a].base
         yield f"N5-{a}", BUNDLES[a].total
-    sphere = co.sphere_coframe(1.5)
-    yield "sphere-fd", co.CoframeField(2, sphere.domain, sphere.matrix, h=1e-4)
+    yield "sphere-fd", sphere_fd_coframe(1.5, 1e-4)
     yield "dense-fd", dense_coframe()
-    yield "flat", co.flat_coframe(4)
+    yield "flat", flat_coframe(4)
 
 
 CONTRACTIONS = list(contraction_cases())
@@ -151,7 +150,7 @@ def test_structure_contraction_equals_einsum_bitwise(cf):
     points = np.array(cf.sample_points(np.random.default_rng(41), co.CHUNK))
     pts = co.stencil_points(points, cf.h)
     _, e, c = co._structure(cf, pts)
-    m = np.einsum("...iab,...bj,...ak->...ijk", cf.jacobian(pts), e, e)
+    m = np.einsum("...iab,...bj,...ak->...ijk", cf.frame(pts)[1], e, e)
     want = m.swapaxes(-1, -2) - m
     assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
 
@@ -164,12 +163,12 @@ def test_nan_coframe_row_reaches_structure_functions_and_verdict():
     points = np.array(data.total.sample_points(np.random.default_rng(43), 3))
     bad_x = points[1, 0]
 
-    def matrix(p):
-        out = data.total.matrix(p)
-        out[p[..., 0] == bad_x] = np.nan
-        return out
+    def frame(p):
+        a, jac = data.total.frame(p)
+        a[p[..., 0] == bad_x] = np.nan
+        return a, jac
 
-    cf = dataclasses.replace(data.total, matrix=matrix)
+    cf = dataclasses.replace(data.total, frame=frame)
     with np.errstate(invalid="ignore"):
         st = co.Stencil(cf, points)
         rep = bd.strominger_check(dataclasses.replace(data, total=cf), points)
@@ -210,7 +209,7 @@ def test_batched_stencil_equals_per_point_references(cf, torsion, count):
         assert np.array_equal(st.c[q, 0], reference_structure_functions(cf, p))
         for k in range(cf.n):
             def form(x, k=k):
-                return reference_frame_to_coords(comps[k], cf.coeff(x), k)
+                return reference_frame_to_coords(comps[k], cf.frame(x)[0], k)
             assert np.array_equal(d[k][q], reference_numeric_d(form, cf.n, k, p, cf.h))
     for name in ("riemann", "ric", "eigenvalues", "scal"):
         assert np.array_equal(np.concatenate([getattr(r, name) for r in chunked]),
@@ -266,7 +265,7 @@ def test_errors_are_raised_for_the_first_failing_point():
         a[..., 2, 2] = x - 0.7          # singular on x = 0.7
         return a
 
-    cf = co.CoframeField(3, ((0.1, 0.9),) * 3, matrix, h=0.25)
+    cf = co.CoframeField(3, ((0.1, 0.9),) * 3, fd_frame(matrix, 3, 0.25), h=0.25)
     asymmetric, singular = [0.3, 0.5, 0.5], [0.7, 0.5, 0.5]
     # the messages of the per-point loop this replaced
     asymmetry = re.escape("Ricci asymmetry 2.523e+00 exceeds 1.0e-06; step too "
@@ -290,10 +289,10 @@ def reference_panel(cf, a, points):
     star_frame = co.form_hodge(omega_frame, 4, 2)
 
     def omega_coords(p):
-        return co.frame_to_coords(omega_frame, cf.coeff(p), 2)
+        return co.frame_to_coords(omega_frame, cf.frame(p)[0], 2)
 
     def star_coords(p):
-        return co.frame_to_coords(star_frame, cf.coeff(p), 2)
+        return co.frame_to_coords(star_frame, cf.frame(p)[0], 2)
 
     snap_target = np.diag([1.0, 1.0, 0.0, 0.0])
     d_omega = dstar = wedge = f2_int = e2_int = snap = ric_dev = 0.0
@@ -330,14 +329,14 @@ def reference_strominger(data, points, h=1e-5):
     curv = 0.0
     eig_rows = []
     for p in points:
-        d_eta = reference_numeric_d(lambda q: cf.coeff(q)[4], 5, 1, p, h)
-        omega_frame = co.frame_to_coords(d_eta, np.linalg.inv(cf.coeff(p)), 2)
+        d_eta = reference_numeric_d(lambda q: cf.frame(q)[0][4], 5, 1, p, h)
+        omega_frame = co.frame_to_coords(d_eta, np.linalg.inv(cf.frame(p)[0]), 2)
         t_num = co.form_wedge(omega_frame, bd._frame_form(5, (5,), 1.0), 5, 2, 1)
         out["torsion_norm"] = max(out["torsion_norm"], abs(t_num @ t_num - mu2))
         out["d_torsion"] = max(out["d_torsion"], np.abs(reference_numeric_d(
-            lambda q: co.frame_to_coords(t_frame, cf.coeff(q), 3), 5, 3, p, h)).max())
+            lambda q: co.frame_to_coords(t_frame, cf.frame(q)[0], 3), 5, 3, p, h)).max())
         out["dstar_torsion"] = max(out["dstar_torsion"], np.abs(reference_numeric_d(
-            lambda q: co.frame_to_coords(star_t, cf.coeff(q), 2), 5, 2, p, h)).max())
+            lambda q: co.frame_to_coords(star_t, cf.frame(q)[0], 2), 5, 2, p, h)).max())
         gam = (reference_levi_civita(reference_structure_functions(cf, p))
                + 0.5 * co.skew_tensor(t_frame, 5))
         out["nabla_eta"] = max(out["nabla_eta"], float(np.max(np.abs(gam[:, 4, :]))))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt, log
+from math import comb, cos, inf, isqrt, log, pi, sin
 
 import numpy as np
 from hypothesis import strategies as st
@@ -151,6 +151,67 @@ def reference_quadric_member(b, mu):
     return None
 
 
+def fd_frame(matrix, n, h):
+    """A coframe's frame callable from its matrix alone: the jacobian by
+    central differences of step h, one displaced evaluation per coordinate."""
+    def frame(p):
+        p = np.asarray(p, dtype=float)
+        jac = np.zeros(p.shape[:-1] + (n, n, n))
+        for k in range(n):
+            pp, pm = p.copy(), p.copy()
+            pp[..., k] += h
+            pm[..., k] -= h
+            jac[..., k] = (matrix(pp) - matrix(pm)) / (2 * h)
+        return matrix(p), jac
+
+    return frame
+
+
+def fd_convergence_order(cf, p, h=1e-3):
+    """Observed order of the central-difference jacobian, at steps h and h/2,
+    against the jacobian the coframe's frame returns."""
+    p = np.asarray(p, dtype=float)
+    exact = cf.frame(p)[1]
+
+    def error(step):
+        fd = fd_frame(lambda q: cf.frame(q)[0], cf.n, step)(p)[1]
+        return np.max(np.abs(fd - exact))
+
+    e1, e2 = error(h), error(h / 2)
+    return inf if e2 == 0 else log(e1 / e2, 2)
+
+
+def flat_coframe(n, box=None):
+    box = box or tuple((0.0, 1.0) for _ in range(n))
+
+    def frame(p):
+        return (np.broadcast_to(np.eye(n), p.shape[:-1] + (n, n)),
+                np.zeros(p.shape[:-1] + (n, n, n)))
+
+    return co.CoframeField(n, box, frame)
+
+
+def sphere_coframe(radius=1.0):
+    """Round 2-sphere chart: f^1 = r dtheta, f^2 = r sin(theta) dphi."""
+
+    def frame(p):
+        a = np.zeros(p.shape[:-1] + (2, 2))
+        a[..., 0, 0] = radius
+        a[..., 1, 1] = radius * co.libm(sin, p[..., 0])
+        jac = np.zeros(p.shape[:-1] + (2, 2, 2))
+        jac[..., 1, 1, 0] = radius * co.libm(cos, p[..., 0])
+        return a, jac
+
+    return co.CoframeField(2, ((0.4, pi - 0.4), (0.0, 2 * pi)), frame)
+
+
+def sphere_fd_coframe(radius, h):
+    """The round 2-sphere chart with its jacobian by central differences."""
+    sphere = sphere_coframe(radius)
+    return co.CoframeField(2, sphere.domain,
+                           fd_frame(lambda p: sphere.frame(p)[0], 2, h), h=h)
+
+
 def singular_coframe(x_singular, h=1e-5):
     """diag(1, x - x_singular) on the unit square: singular on x = x_singular."""
     def matrix(p):
@@ -159,7 +220,7 @@ def singular_coframe(x_singular, h=1e-5):
         a[..., 1, 1] = p[..., 0] - x_singular
         return a
 
-    return co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), matrix, h=h)
+    return co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), fd_frame(matrix, 2, h), h=h)
 
 
 def reference_frame_to_coords(components, a, k):
@@ -170,11 +231,10 @@ def reference_frame_to_coords(components, a, k):
 def reference_structure_functions(cf, p):
     """c^i_{jk} at one point from its own coframe, inverse and jacobian."""
     p = np.asarray(p, dtype=float)
-    a = cf.coeff(p)
+    a, jac = cf.frame(p)
     if abs(np.linalg.det(a)) < 1e-12:
         raise ValueError("coframe matrix is singular at the sample point")
     e = np.linalg.inv(a)
-    jac = cf.jacobian(p)
     m = np.einsum("iab,bj,ak->ijk", jac, e, e)
     return m.transpose(0, 2, 1) - m
 
@@ -215,7 +275,7 @@ def reference_riemann_ricci(cf, p, torsion=None, h=None, symmetry_tol=1e-6):
         pm[beta] -= h
         partials[beta] = (m_matrices(reference_structure_functions(cf, pp))
                           - m_matrices(reference_structure_functions(cf, pm))) / (2 * h)
-    e = np.linalg.inv(cf.coeff(p))
+    e = np.linalg.inv(cf.frame(p)[0])
     dm = np.einsum("bjlk,bi->ijlk", partials, e)
     prod = m0[:, None] @ m0[None, :]
     riemann = dm - dm.transpose(1, 0, 2, 3) + prod - prod.transpose(1, 0, 2, 3)
