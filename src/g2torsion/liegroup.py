@@ -274,7 +274,9 @@ class InvariantConnection:
     def riemann(self):
         """riemann[i][j] = matrix of R(e_{i+1}, e_{j+1}), as nested tuples.
 
-        Each pair i < j is computed once; R(e_j, e_i) = -R(e_i, e_j) and
+        R(e_i, e_j) = [M_i, M_j] - sum_k c^k_{ij} M_k is built from the
+        nonzero entries of the connection matrices only (linalg.commutator),
+        and each pair i < j is computed once; R(e_j, e_i) = -R(e_i, e_j) and
         R(e_i, e_i) = 0 are filled in by skew symmetry.
         """
         n = self.n
@@ -283,12 +285,12 @@ class InvariantConnection:
         r = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                m = linalg.mat_sub(linalg.matmul(mats[i], mats[j]),
-                                   linalg.matmul(mats[j], mats[i]))
-                for k in range(n):
-                    ck = self.algebra.c(i + 1, j + 1, k + 1)
-                    if ck:
-                        m = linalg.mat_sub(m, linalg.mat_scale(ck, mats[k]))
+                m = linalg.commutator(mats[i], mats[j])
+                for k, ck in self.algebra.structure.get((i + 1, j + 1), {}).items():
+                    for row, mk in zip(m, mats[k - 1]):
+                        for l, y in enumerate(mk):
+                            if y:
+                                row[l] -= ck * y
                 r[i][j] = tuple(tuple(row) for row in m)
                 r[j][i] = tuple(tuple(-x for x in row) for row in m)
         return tuple(tuple(row) for row in r)
@@ -408,16 +410,12 @@ def holonomy_algebra(conn):
         current = list(basis)
         for b in current:
             for m in mats:
-                if add(linalg.mat_sub(linalg.matmul(m, b), linalg.matmul(b, m))):
+                if add(linalg.commutator(m, b)):
                     changed = True
         current = list(basis)
         for x in range(len(current)):
             for y in range(x + 1, len(current)):
-                br = linalg.mat_sub(
-                    linalg.matmul(current[x], current[y]),
-                    linalg.matmul(current[y], current[x]),
-                )
-                if add(br):
+                if add(linalg.commutator(current[x], current[y])):
                     changed = True
     return basis
 

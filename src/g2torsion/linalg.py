@@ -73,6 +73,26 @@ def matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
 
+def commutator(a, b):
+    """AB - BA of two square matrices, from the nonzero entries of each row
+    only; every other entry is ZERO, so the result equals
+    mat_sub(matmul(a, b), matmul(b, a)) entry by entry."""
+    n = len(a)
+    sa = [[(k, x) for k, x in enumerate(row) if x] for row in a]
+    sb = [[(k, x) for k, x in enumerate(row) if x] for row in b]
+    out = []
+    for i in range(n):
+        row = [ZERO] * n
+        for k, x in sa[i]:
+            for j, y in sb[k]:
+                row[j] += x * y
+        for k, x in sb[i]:
+            for j, y in sa[k]:
+                row[j] -= x * y
+        out.append(row)
+    return out
+
+
 def matvec(a, v):
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
 

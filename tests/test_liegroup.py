@@ -2,11 +2,14 @@
 
 Oracles: the defining identity d(theta^k)(e_i, e_j) = -c^k_{ij} for the
 invariant differential, d^2 = 0 on algebras satisfying Jacobi, adjointness
-of the codifferential on unimodular algebras, and the classical flat
-connections with skew torsion +/- the Cartan 3-form.
+of the codifferential on unimodular algebras, the classical flat
+connections with skew torsion +/- the Cartan 3-form, and the dense-product
+curvature and holonomy closure of tests/util.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +20,7 @@ from g2torsion.forms import Form, format_form
 from g2torsion.g2 import char_torsion, standard_omega3, standard_omega4
 from g2torsion.spin import standard_rep
 
-from .util import forms
+from .util import forms, reference_holonomy_dim, reference_riemann
 
 SU2_SLOTTED = lg.su2(2, n=7, slots=(1, 2, 3))
 BUNDLED = lg.su2(Fraction(-7), n=7, slots=(1, 2, 7))
@@ -335,3 +338,95 @@ def test_parse_algebra_reports_line_numbers():
         lg.parse_algebra("1 1 2 1\n")
     with pytest.raises(ValueError, match="line 3.*duplicate"):
         lg.parse_algebra("1 2 3 1\n1 3 2 1\n2 1 3 1\n")
+
+
+def seeded_slot_triples(seed=17):
+    """su(2)_lam on every slot triple, each in a seeded slot order and at a
+    seeded lam = +-p/q (p <= 99, q <= 9), as the pipeline benchmark draws."""
+    rng = random.Random(seed)
+    out = []
+    for triple in combinations(range(1, 8), 3):
+        slots = list(triple)
+        rng.shuffle(slots)
+        lam = Fraction(rng.choice((1, -1)) * rng.randint(1, 99), rng.randint(1, 9))
+        out.append((f"su2({lam})-slots{''.join(map(str, slots))}",
+                    lg.su2(lam, n=7, slots=tuple(slots))))
+    return out
+
+
+#: Nilpotent algebras: Heisenberg h3 (alone and inside R^7), the filiform
+#: n4, the free 2-step algebra on three generators and Heisenberg h7.
+NILPOTENT = [
+    lg.LieAlgebraData(3, {(1, 2): {3: 1}}),
+    lg.LieAlgebraData(7, {(1, 2): {3: Fraction(-5, 2)}}),
+    lg.LieAlgebraData(7, {(1, 2): {3: 1}, (1, 3): {4: Fraction(1, 2)}}),
+    lg.LieAlgebraData(7, {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}}),
+    lg.LieAlgebraData(7, {(1, 2): {7: 1}, (3, 4): {7: 1}, (5, 6): {7: 1}}),
+]
+
+
+def seeded_placements(seed=5, count=2):
+    """The named algebras pushed through seeded frame permutations, as
+    group-report --placement does."""
+    rng = random.Random(seed)
+    out = []
+    for alg in (SU2_SLOTTED, BUNDLED, NILPOTENT[2], ROTATION):
+        for _ in range(count):
+            perm = list(range(1, 8))
+            rng.shuffle(perm)
+            out.append(lg.relabel(alg, perm))
+    return out
+
+
+def connections_of(alg):
+    """Levi-Civita and one connection with torsion: the characteristic
+    torsion when the algebra is cocalibrated, else omega3 (7-dimensional)
+    or e123."""
+    if alg.n != 7:
+        return [lg.levi_civita(alg), lg.with_torsion(alg, Form(alg.n, {(1, 2, 3): 1}))]
+    dw4 = alg.ce_d(standard_omega4())
+    t = (char_torsion(alg.ce_d(standard_omega3()), dw4).torsion if dw4.is_zero()
+         else standard_omega3())
+    return [lg.levi_civita(alg), lg.with_torsion(alg, t)]
+
+
+PLACEMENTS = seeded_placements()
+CURVATURE_CASES = (
+    seeded_slot_triples()
+    + [(f"r4_su2({lam})", lg.r4_su2(lam)) for lam in (1, Fraction(-7), Fraction(5, 3))]
+    + [(f"nilpotent-{k}", alg) for k, alg in enumerate(NILPOTENT)]
+    + [(f"placement-{k}", alg) for k, alg in enumerate(PLACEMENTS)]
+    + [("su2-slotted", SU2_SLOTTED), ("bundled", BUNDLED), ("rotation", ROTATION),
+       ("abelian", lg.abelian(7))]
+)
+
+
+@pytest.mark.parametrize("alg", [a for _, a in CURVATURE_CASES],
+                         ids=[name for name, _ in CURVATURE_CASES])
+def test_riemann_matches_dense_products(alg):
+    """The curvature from sparse products equals the dense-product reference
+    entry by entry, each entry a Fraction, for both connections."""
+    for conn in connections_of(alg):
+        for (i, j), want in reference_riemann(conn).items():
+            got = conn.riemann[i][j]
+            assert [list(row) for row in got] == want
+            assert all(type(x) is Fraction for row in got for x in row)
+
+
+#: Every connection with Levi-Civita, and the torsion connections of a few
+#: named algebras: flat ones, two with 14-dimensional holonomy and one with
+#: all of so(7).  The other torsion connections mostly reach so(7) as well
+#: and would only add time.
+HOLONOMY_CASES = (
+    [(f"{name}-levi-civita", lg.levi_civita(a)) for name, a in CURVATURE_CASES
+     if not name.startswith("su2(")]
+    + [(f"{name}-torsion", connections_of(a)[1]) for name, a in CURVATURE_CASES
+       if name in ("r4_su2(-7)", "nilpotent-0", "nilpotent-4", "su2-slotted",
+                   "bundled", "rotation")]
+)
+
+
+@pytest.mark.parametrize("conn", [c for _, c in HOLONOMY_CASES],
+                         ids=[name for name, _ in HOLONOMY_CASES])
+def test_holonomy_dimension_matches_dense_closure(conn):
+    assert len(lg.holonomy_algebra(conn)) == reference_holonomy_dim(conn)

@@ -4,6 +4,7 @@ Determinants are cross-checked by cofactor expansion, ranks against numpy's
 SVD rank on float copies, and the solvers by substituting solutions back.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import given, strategies as st
 
 from g2torsion import linalg
 
-from .util import (is_orthogonal, random_rotation, rational_matrix,
-                   reference_rref, small_fractions, vectors)
+from .util import (dense_commutator, is_orthogonal, random_rotation,
+                   rational_matrix, reference_rref, small_fractions, vectors)
 
 F = Fraction
 
@@ -113,6 +114,33 @@ def test_rref_matches_reference_on_random_shapes(m):
                               min_size=1, max_size=7))))
 def test_rref_matches_reference_with_repeated_and_zero_rows(m):
     assert_rref_matches_reference(m)
+
+
+def sparse_matrix(rng, n, density):
+    """Small rationals, ints among them, each entry nonzero with the given
+    probability."""
+    def entry():
+        if rng.random() >= density:
+            return rng.choice((0, Fraction(0)))
+        if rng.random() < 0.3:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_commutator_matches_dense_products(seed):
+    """Entry by entry equal to matmul(a, b) - matmul(b, a), every entry a
+    Fraction like the dense result's, from all-zero to full matrices."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    density = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+    a, b = sparse_matrix(rng, n, density), sparse_matrix(rng, n, density)
+    got = linalg.commutator(a, b)
+    assert got == dense_commutator(a, b)
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert linalg.commutator(a, a) == linalg.zeros(n, n)
 
 
 def test_charpoly_companion_example():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from g2torsion import coframe as co
 from g2torsion.forms import Form, basis_indices
-from g2torsion.linalg import frac, identity, matmul, transpose
+from g2torsion.linalg import frac, identity, mat_scale, mat_sub, matmul, transpose
 from g2torsion.liouville import solve_liouville
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -92,8 +92,9 @@ def random_rotation(n, rng, steps=6):
 
 
 # Reference implementations in Fraction arithmetic: the library's integer
-# versions must return the same rationals.  Further down, per-call float
-# references that the batched coframe stencil must match bit for bit.
+# and sparse versions must return the same rationals.  Further down,
+# per-call float references that the batched coframe stencil must match bit
+# for bit.
 
 
 def reference_rref(m):
@@ -123,6 +124,69 @@ def reference_rref(m):
         if pr == rows:
             break
     return r, pivots
+
+
+def dense_matmul(a, b):
+    """AB as a sum from ZERO over every k, zero products included."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in transpose(b)]
+            for row in a]
+
+
+def dense_commutator(a, b):
+    return mat_sub(dense_matmul(a, b), dense_matmul(b, a))
+
+
+def reference_riemann(conn):
+    """R(e_i, e_j) = [M_i, M_j] - sum_k c^k_{ij} M_k for every pair i < j,
+    as {(i, j): matrix} (0-based) from dense products of the connection
+    matrices."""
+    n = conn.n
+    mats = [conn.matrix(i) for i in range(1, n + 1)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = dense_commutator(mats[i], mats[j])
+            for k in range(n):
+                ck = conn.algebra.c(i + 1, j + 1, k + 1)
+                if ck:
+                    m = mat_sub(m, mat_scale(ck, mats[k]))
+            out[(i, j)] = m
+    return out
+
+
+def reference_holonomy_dim(conn):
+    """Dimension of the span of the curvature endomorphisms, closed under
+    dense brackets with the connection matrices and with each other.  A
+    metric connection's span lies in so(n), so the closure stops once it
+    has n(n - 1)/2 dimensions."""
+    n = conn.n
+    mats = [conn.matrix(i) for i in range(1, n + 1)]
+    basis = []
+    echelon = []            # (pivot, flattened row scaled to 1 at the pivot)
+
+    def grow(candidates):
+        grew = False
+        for m in candidates:
+            v = [x for row in m for x in row]
+            for p, row in echelon:
+                if v[p]:
+                    f = v[p]
+                    v = [x - f * y for x, y in zip(v, row)]
+            piv = next((k for k, x in enumerate(v) if x), None)
+            if piv is not None:
+                echelon.append((piv, [x / v[piv] for x in v]))
+                basis.append(m)
+                grew = True
+        return grew
+
+    full = n * (n - 1) // 2
+    grow(reference_riemann(conn).values())
+    # `|`, not `or`: each round tries both kinds of bracket
+    while len(basis) < full and (
+            grow([dense_commutator(m, b) for b in list(basis) for m in mats])
+            | grow([dense_commutator(x, y) for x, y in combinations(list(basis), 2)])):
+        pass
+    return len(basis)
 
 
 def reference_quadric_member(b, mu):
