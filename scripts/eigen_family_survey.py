@@ -48,7 +48,7 @@ def main():
     fibers = cl.torsion_value_fibers(mu)
     print("fibers:", {str(k): v for k, v in sorted(fibers.items())})
     print("kernel dimension chain (k = 1..4):",
-          [cl.kernel_dims(k) for k in (1, 2, 3, 4)])
+          list(cl.kernel_dims().values()))
 
 
 if __name__ == "__main__":

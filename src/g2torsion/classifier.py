@@ -270,26 +270,23 @@ def families_coincide(family, m):
 PINNED_KERNEL_DIMS = {1: 27, 3: 14, 4: 9}
 
 
-def kernel_dims(k):
-    """dim {Sigma in Lambda^3_27 : Sigma . Psi_i = 0 for the first k spinors}.
+def kernel_dims():
+    """{k: dim {Sigma in Lambda^3_27 : Sigma . Psi_i = 0 for the first k
+    spinors}} for k = 1..4.
 
     The spinor list is (Psi_0, Psi_1, Psi_2, Psi_3); Psi_0 is annihilated by
-    the whole 27-dimensional component, so k = 1 gives 27.
+    the whole 27-dimensional component, so k = 1 gives 27.  The 27 operators
+    and the 8 rows of each spinor are built once; k reads the first 8k rows.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
     from .g2 import lambda27_basis
 
-    basis = lambda27_basis()
     rep = standard_rep()
-    psis = reference_spinors()
-    ops = [rep.operator(bf) for bf in basis]
+    ops = [rep.operator(bf) for bf in lambda27_basis()]
     rows = []
-    for i in range(k):
-        acted = [linalg.matvec(op, list(psis[i])) for op in ops]
-        for comp in range(8):
-            rows.append([acted[col][comp] for col in range(len(basis))])
-    return len(linalg.nullspace(rows))
+    for psi in reference_spinors():
+        acted = [linalg.matvec(op, list(psi)) for op in ops]
+        rows.extend([col[comp] for col in acted] for comp in range(8))
+    return {k: len(linalg.nullspace(rows[:8 * k])) for k in range(1, 5)}
 
 
 # ---------------------------------------------------------------- values

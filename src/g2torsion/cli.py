@@ -146,7 +146,7 @@ def cmd_values(args):
 
 
 def cmd_kernels(args):
-    dims = {k: classifier.kernel_dims(k) for k in (1, 2, 3, 4)}
+    dims = classifier.kernel_dims()
     pinned = classifier.PINNED_KERNEL_DIMS
     return {
         "command": "kernels",
@@ -270,7 +270,8 @@ def _selftest_items():
     yield "eigenvalue families have dimension 9 with matching invariants", fam_ok, ""
 
     pinned = tuple(classifier.PINNED_KERNEL_DIMS.values())
-    dims = tuple(classifier.kernel_dims(k) for k in classifier.PINNED_KERNEL_DIMS)
+    all_dims = classifier.kernel_dims()
+    dims = tuple(all_dims[k] for k in classifier.PINNED_KERNEL_DIMS)
     yield f"annihilator dimensions {pinned}", dims == pinned, str(dims)
 
     fibers = classifier.torsion_value_fibers(mu)

@@ -381,42 +381,40 @@ def ric_from_torsion(torsion):
 
 def holonomy_algebra(conn):
     """Infinitesimal holonomy: span of curvature endomorphisms, closed under
-    bracketing with the nabla matrices and under internal brackets."""
+    bracketing with the nabla matrices and under internal brackets.
+
+    The connection is metric, so the span lies in so(n): the closure stops
+    as soon as the basis has n(n - 1)/2 elements.
+    """
     n = conn.n
+    full = n * (n - 1) // 2
     mats = [conn.matrix(i) for i in range(1, n + 1)]
-
-    def vec(m):
-        return [x for row in m for x in row]
-
     basis = []          # list of matrices
     rows = []           # their flattenings, for rank tests
 
-    def add(m):
-        v = vec(m)
-        if all(x == 0 for x in v):
-            return False
-        if rows and linalg.in_span(v, rows):
-            return False
-        basis.append(m)
-        rows.append(v)
-        return True
+    def candidates():
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield conn.riemann[i][j]
+        grew = True
+        while grew:
+            size = len(basis)
+            for b in list(basis):
+                for m in mats:
+                    yield linalg.commutator(m, b)
+            current = list(basis)
+            for x in range(len(current)):
+                for y in range(x + 1, len(current)):
+                    yield linalg.commutator(current[x], current[y])
+            grew = len(basis) > size
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            add(conn.riemann[i][j])
-    changed = True
-    while changed:
-        changed = False
-        current = list(basis)
-        for b in current:
-            for m in mats:
-                if add(linalg.commutator(m, b)):
-                    changed = True
-        current = list(basis)
-        for x in range(len(current)):
-            for y in range(x + 1, len(current)):
-                if add(linalg.commutator(current[x], current[y])):
-                    changed = True
+    for m in candidates():
+        v = [x for row in m for x in row]
+        if any(v) and not (rows and linalg.in_span(v, rows)):
+            basis.append(m)
+            rows.append(v)
+            if len(basis) == full:
+                break
     return basis
 
 

@@ -94,7 +94,8 @@ def commutator(a, b):
 
 
 def matvec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+    """Av, each row summed from ZERO over its nonzero entries only."""
+    return [sum((x * y for x, y in zip(row, v) if x), ZERO) for row in a]
 
 
 def mat_add(a, b):

@@ -88,9 +88,10 @@ def test_criterion_03_eigen_family_dimension_and_invariants():
 
 
 def test_criterion_04_spinor_annihilator_kernel_dimensions():
-    assert cl.kernel_dims(1) == 27
-    assert cl.kernel_dims(3) == 14
-    assert cl.kernel_dims(4) == 9
+    dims = cl.kernel_dims()
+    assert dims[1] == 27
+    assert dims[3] == 14
+    assert dims[4] == 9
 
 
 def test_criterion_05_eigenvalue_roots_and_value_fibers():

@@ -18,8 +18,8 @@ from g2torsion import linalg
 from g2torsion.forms import Form
 from g2torsion.g2 import standard_omega3
 
-from .util import (nonzero_fractions, reference_quadric_member, reference_rref,
-                   small_fractions)
+from .util import (nonzero_fractions, reference_kernel_dims, reference_quadric_member,
+                   reference_rref, small_fractions)
 
 #: reference_quadric_member over seeded_det_e2_inputs(2000); rebuild with
 #: PYTHONPATH=src python -m tests.test_classifier
@@ -101,13 +101,13 @@ def test_eigen_system_rref_matches_fraction_gauss_jordan(monkeypatch):
 
 
 def test_kernel_dimension_chain():
-    assert [cl.kernel_dims(k) for k in (1, 2, 3, 4)] == [27, 20, 14, 9]
+    assert cl.kernel_dims() == {1: 27, 2: 20, 3: 14, 4: 9}
 
 
-def test_kernel_dims_rejects_out_of_range():
-    for k in (0, 5):
-        with pytest.raises(ValueError):
-            cl.kernel_dims(k)
+def test_kernel_dims_match_per_k_rebuild():
+    dims = cl.kernel_dims()
+    assert [dims[k] for k in (1, 2, 3, 4)] == [
+        reference_kernel_dims(k) for k in (1, 2, 3, 4)]
 
 
 # ---------------------------------------------------------------- values

@@ -413,16 +413,19 @@ def test_riemann_matches_dense_products(alg):
             assert all(type(x) is Fraction for row in got for x in row)
 
 
-#: Every connection with Levi-Civita, and the torsion connections of a few
+#: Every connection with Levi-Civita; the torsion connections of a few
 #: named algebras: flat ones, two with 14-dimensional holonomy and one with
-#: all of so(7).  The other torsion connections mostly reach so(7) as well
-#: and would only add time.
+#: all of so(7); pipeline-stream's inputs, the su(2)_lam, with the torsion
+#: of connections_of; and omega3 as torsion on every other 7-dimensional
+#: algebra, where most closures reach all of so(7).
 HOLONOMY_CASES = (
     [(f"{name}-levi-civita", lg.levi_civita(a)) for name, a in CURVATURE_CASES
      if not name.startswith("su2(")]
     + [(f"{name}-torsion", connections_of(a)[1]) for name, a in CURVATURE_CASES
        if name in ("r4_su2(-7)", "nilpotent-0", "nilpotent-4", "su2-slotted",
-                   "bundled", "rotation")]
+                   "bundled", "rotation") or name.startswith("su2(")]
+    + [(f"{name}-omega3", lg.with_torsion(a, standard_omega3()))
+       for name, a in CURVATURE_CASES if a.n == 7 and not name.startswith("su2(")]
 )
 
 

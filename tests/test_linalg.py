@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from g2torsion import linalg
 
-from .util import (dense_commutator, is_orthogonal, random_rotation,
+from .util import (dense_commutator, dense_matvec, is_orthogonal, random_rotation,
                    rational_matrix, reference_rref, small_fractions, vectors)
 
 F = Fraction
@@ -141,6 +141,21 @@ def test_commutator_matches_dense_products(seed):
     assert got == dense_commutator(a, b)
     assert all(type(x) is Fraction for row in got for x in row)
     assert linalg.commutator(a, a) == linalg.zeros(n, n)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_matvec_matches_dense_sum(seed):
+    """Entry by entry equal to the dense sum from zero, every entry a
+    Fraction, from all-zero to full matrices with all-zero rows among them."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    a = sparse_matrix(rng, n, rng.choice((0.0, 0.1, 0.3, 0.6, 1.0)))
+    if n:
+        a[rng.randrange(n)] = [0] * n
+    v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    got = linalg.matvec(a, v)
+    assert got == dense_matvec(a, v)
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_charpoly_companion_example():

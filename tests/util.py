@@ -8,9 +8,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from g2torsion import coframe as co
+from g2torsion.classifier import reference_spinors
 from g2torsion.forms import Form, basis_indices
-from g2torsion.linalg import frac, identity, mat_scale, mat_sub, matmul, transpose
+from g2torsion.g2 import lambda27_basis
+from g2torsion.linalg import (frac, identity, mat_scale, mat_sub, matmul, nullspace,
+                              transpose)
 from g2torsion.liouville import solve_liouville
+from g2torsion.spin import standard_rep
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -134,6 +138,26 @@ def dense_matmul(a, b):
 
 def dense_commutator(a, b):
     return mat_sub(dense_matmul(a, b), dense_matmul(b, a))
+
+
+def dense_matvec(a, v):
+    """Av as a sum from ZERO over every entry, zero products included."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def reference_kernel_dims(k):
+    """dim {Sigma in Lambda^3_27 : Sigma . Psi_i = 0 for the first k
+    spinors}, rebuilding the 27 operators for this k alone and acting on
+    the spinors by dense products."""
+    basis = lambda27_basis()
+    rep = standard_rep()
+    ops = [rep.operator(bf) for bf in basis]
+    rows = []
+    for psi in reference_spinors()[:k]:
+        acted = [dense_matvec(op, list(psi)) for op in ops]
+        for comp in range(8):
+            rows.append([acted[col][comp] for col in range(len(basis))])
+    return len(nullspace(rows))
 
 
 def reference_riemann(conn):
