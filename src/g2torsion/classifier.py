@@ -35,7 +35,7 @@ from math import gcd, isqrt
 
 from . import linalg
 from .forms import Form, basis_indices, form_to_vector, vector_to_form
-from .g2 import lambda7_basis, standard_omega3
+from .g2 import lambda1_7_rows, standard_omega3
 from .linalg import frac
 from .liegroup import ric_from_torsion
 from .spin import standard_rep
@@ -69,10 +69,7 @@ def reference_spinors():
     derived spinors e_slot . Psi_0 in EIGEN_SLOTS label order."""
     rep = standard_rep()
     psi0 = rep.find_psi0()
-    out = [psi0]
-    for slot in EIGEN_SLOTS:
-        coords = [ONE if i == slot else ZERO for i in range(1, 8)]
-        out.append(rep.vector_act(coords, psi0))
+    out = [psi0] + [rep.act(Form.basis(7, slot), psi0) for slot in EIGEN_SLOTS]
     return tuple(tuple(v) for v in out)
 
 
@@ -86,14 +83,6 @@ def _basis_actions():
         word = rep.word(idx)
         table[idx] = [linalg.matvec(word, list(p)) for p in psis]
     return table
-
-
-@lru_cache(maxsize=1)
-def _lambda27_constraint_rows():
-    """Rows expressing orthogonality to the 1- and 7-dimensional pieces."""
-    rows = [form_to_vector(standard_omega3(), IDX3)]
-    rows += [form_to_vector(b, IDX3) for b in lambda7_basis()]
-    return rows
 
 
 # ---------------------------------------------------------------- family
@@ -131,16 +120,6 @@ class Torsion27Family:
     a: Fraction | None
     b: Fraction | None
     c: Fraction | None
-
-    def member(self, coeffs):
-        if self.dimension < 0:
-            raise ValueError("empty family has no members")
-        if len(coeffs) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coefficients")
-        out = self.particular
-        for t, d in zip(coeffs, self.directions):
-            out = out + d.scale(frac(t))
-        return out
 
     def is_empty(self):
         return self.dimension < 0
@@ -182,7 +161,7 @@ def solve_family(m, extra_rows=None, extra_rhs=None):
     """
     actions = _basis_actions()
     psis = reference_spinors()
-    rows = [list(r) for r in _lambda27_constraint_rows()]
+    rows = [list(r) for r in lambda1_7_rows()]
     rhs = [ZERO] * len(rows)
     for i in (1, 2, 3):
         for comp in range(8):

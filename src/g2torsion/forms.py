@@ -83,10 +83,6 @@ class Form:
         return cls(n, {})
 
     @classmethod
-    def scalar(cls, n, c):
-        return cls(n, {(): frac(c)})
-
-    @classmethod
     def basis(cls, n, *indices):
         return cls(n, {tuple(indices): ONE})
 
@@ -101,27 +97,10 @@ class Form:
             acc[sidx] = acc.get(sidx, ZERO) + sign * frac(c)
         return cls(n, acc)
 
-    @classmethod
-    def volume(cls, n):
-        return cls(n, {tuple(range(1, n + 1)): ONE})
-
     # ---------------- basic structure ----------------
 
     def degrees(self):
         return sorted({len(i) for i in self.coeffs})
-
-    @property
-    def degree(self):
-        """Degree if homogeneous; raises otherwise.  Zero form: degree 0."""
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError(f"mixed-degree form (degrees {degs})")
-        return degs[0]
-
-    def homogeneous_part(self, k):
-        return Form(self.n, {i: c for i, c in self.coeffs.items() if len(i) == k})
 
     def is_zero(self):
         return not self.coeffs
@@ -273,24 +252,6 @@ class Form:
         if out.degrees() not in ([], [0]):
             raise ValueError("number of vectors does not match form degree")
         return out.coeffs.get((), ZERO)
-
-    def pullback(self, q):
-        """Substitute e_i -> sum_j q[i][j] e_j in every wedge monomial.
-
-        For a k-form alpha the coefficients transform as
-        (pullback alpha)_J = sum_I alpha_I det(q[I, J]) with q[I, J] the
-        submatrix on rows I and columns J.
-        """
-        n = self.n
-        rows = [Form(n, {(j,): q[i - 1][j - 1] for j in range(1, n + 1)})
-                for i in range(1, n + 1)]
-        out = Form.zero(n)
-        for idx, c in self.coeffs.items():
-            term = Form.scalar(n, c)
-            for i in idx:
-                term = term.wedge(rows[i - 1])
-            out = out + term
-        return out
 
     # ---------------- composite operators ----------------
 

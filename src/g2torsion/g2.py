@@ -21,10 +21,6 @@ from . import linalg
 from .forms import Form, basis_indices, form_to_vector
 from .spin import OCTONION_TRIPLES
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 @lru_cache(maxsize=1)
 def standard_omega3():
     """The calibration 3-form e127 + e135 - e146 - e236 - e245 + e347 + e567."""
@@ -45,13 +41,19 @@ def lambda7_basis():
 
 
 @lru_cache(maxsize=1)
+def lambda1_7_rows():
+    """The 1 + 7 pieces as coefficient rows over basis_indices(7, 3): a
+    3-form lies in the 27-dimensional piece when every row is orthogonal
+    to it."""
+    idx = basis_indices(7, 3)
+    return [form_to_vector(b, idx) for b in [standard_omega3(), *lambda7_basis()]]
+
+
+@lru_cache(maxsize=1)
 def lambda27_basis():
     """A 27-dimensional exact basis of the orthocomplement of 1 + 7 pieces."""
     idx = basis_indices(7, 3)
-    rows = [form_to_vector(standard_omega3(), idx)]
-    rows += [form_to_vector(b, idx) for b in lambda7_basis()]
-    kern = linalg.nullspace(rows)
-    return [Form(7, dict(zip(idx, v))) for v in kern]
+    return [Form(7, dict(zip(idx, v))) for v in linalg.nullspace(lambda1_7_rows())]
 
 
 def _project_onto(form, basis):
@@ -85,19 +87,6 @@ class TorsionDecomposition:
     t1: Form              # scalar piece, (mu/7) omega3
     t27: Form             # traceless piece
     d_omega3: Form
-
-    @property
-    def norm2(self):
-        return self.torsion.norm2()
-
-    @property
-    def scal_prediction(self):
-        """Predicted Riemannian scalar curvature (3/2)|T|^2.
-
-        Valid exactly when the characteristic Ricci tensor vanishes, so the
-        pipeline checks it against the honest curvature computation.
-        """
-        return Fraction(3, 2) * self.torsion.norm2()
 
 
 def char_torsion(d_omega3, d_omega4=None):

@@ -2,7 +2,7 @@
 
 A left-invariant metric on a Lie group is encoded by structure constants
 c^k_{ij} with respect to a frame declared orthonormal.  Everything downstream
-— the invariant exterior derivative, codifferential, Levi-Civita connection,
+— the invariant exterior derivative, Levi-Civita connection,
 metric connections with prescribed skew torsion, curvature, Ricci tensors,
 infinitesimal holonomy, parallel fields and spinors — is then a finite exact
 computation over Q.
@@ -22,14 +22,13 @@ Conventions:
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .forms import Form
-from .linalg import frac, parse_rational, rational_str
+from .linalg import frac, parse_rational
 from .spin import standard_rep
 
 ZERO = Fraction(0)
@@ -100,12 +99,6 @@ class LieAlgebraData:
                         return False
         return True
 
-    def is_unimodular(self):
-        return all(
-            sum((self.c(i, j, i) for i in range(1, self.n + 1)), ZERO) == 0
-            for j in range(1, self.n + 1)
-        )
-
     # ---------------- invariant calculus ----------------
 
     def ce_d(self, form):
@@ -135,26 +128,6 @@ class LieAlgebraData:
                 basis.append(Form(self.n, acc))
             self._d_basis_cache = basis
         return self._d_basis_cache
-
-    def codiff(self, form):
-        """Codifferential delta = (-1)^{n(k+1)+1} * d *  (adjoint of ce_d).
-
-        The adjointness <d a, b> = <a, delta b> holds pointwise for invariant
-        forms exactly when the algebra is unimodular; a warning is emitted
-        otherwise.
-        """
-        if not self.is_unimodular():
-            warnings.warn("codifferential is not the L2-adjoint: algebra is not unimodular")
-        degs = form.degrees()
-        if not degs:
-            return Form.zero(self.n)
-        out = Form.zero(self.n)
-        n = self.n
-        for k in degs:
-            part = form.homogeneous_part(k)
-            sign = -1 if (n * (k + 1) + 1) % 2 else 1
-            out = out + self.ce_d(part.hodge()).hodge().scale(sign)
-        return out
 
     def cartan_three_form(self):
         """The 3-form <[X, Y], Z> of the algebra.
@@ -208,15 +181,6 @@ class InvariantConnection:
         g = self.gamma[i - 1]
         n = self.n
         return [[g[k][l] for k in range(n)] for l in range(n)]
-
-    def is_metric(self):
-        n = self.n
-        return all(
-            self.gamma[i][j][k] == -self.gamma[i][k][j]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
 
     def torsion_tensor(self):
         """Recompute the torsion 3-tensor from Gamma; returns a Form if skew."""
@@ -311,9 +275,6 @@ class CurvatureData:
             for i in range(len(self.riemann))
             for j in range(len(self.riemann))
         )
-
-    def max_ric_nabla(self):
-        return max((abs(x) for row in self.ric_nabla for x in row), default=ZERO)
 
 
 def levi_civita(algebra):
@@ -461,8 +422,9 @@ def integrability_residual(conn, spinors):
     Returns one triple (per_direction, r_sigma, r_square) per spinor psi, in
     the order given, where per_direction[i] is the spinor
     ((e_i hook dT) + 2 nabla_{e_i} T) . psi, r_sigma = (3 dT - 2 sigma_T) . psi
-    and r_square = T^2 psi - |T|^2 psi.  dT and the nine operators (seven per
-    direction, sigma and T) depend only on the connection and are built once.
+    and r_square = T . (T . psi) - |T|^2 psi.  dT and the nine operators
+    (seven per direction, sigma and T) depend only on the connection and are
+    built once.
     """
     if conn.n != 7:
         raise ValueError("integrability residuals require dimension 7")
@@ -473,11 +435,11 @@ def integrability_residual(conn, spinors):
                for i in range(1, 8)]
     sigma_op = rep.operator(dt.scale(3) - t.sigma().scale(2))
     t_op = rep.operator(t)
-    square_op = linalg.mat_sub(linalg.matmul(t_op, t_op),
-                               linalg.mat_scale(t.norm2(), linalg.identity(8)))
+    t2 = t.norm2()
     return [([linalg.matvec(op, psi) for op in per_ops],
              linalg.matvec(sigma_op, psi),
-             linalg.matvec(square_op, psi))
+             [x - t2 * y
+              for x, y in zip(linalg.matvec(t_op, linalg.matvec(t_op, psi)), psi)])
             for psi in spinors]
 
 
@@ -570,10 +532,3 @@ def parse_algebra(text, n=None):
                          f"{header_n}, expected {n}")
     return LieAlgebraData(n, entries)
 
-
-def format_algebra(algebra):
-    lines = [f"# dimension {algebra.n}"]
-    for (i, j) in sorted(algebra.structure):
-        for k in sorted(algebra.structure[(i, j)]):
-            lines.append(f"{i} {j} {k} {rational_str(algebra.structure[(i, j)][k])}")
-    return "\n".join(lines) + "\n"

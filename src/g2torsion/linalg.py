@@ -76,7 +76,7 @@ def matmul(a, b):
 def commutator(a, b):
     """AB - BA of two square matrices, from the nonzero entries of each row
     only; every other entry is ZERO, so the result equals
-    mat_sub(matmul(a, b), matmul(b, a)) entry by entry."""
+    matmul(a, b) - matmul(b, a) entry by entry."""
     n = len(a)
     sa = [[(k, x) for k, x in enumerate(row) if x] for row in a]
     sb = [[(k, x) for k, x in enumerate(row) if x] for row in b]
@@ -100,10 +100,6 @@ def matvec(a, v):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(s, a):

@@ -39,6 +39,11 @@ import numpy as np
 # on the rounding floor.
 POLISH_BELOW = 1e-6
 
+# Residual max-norm at which a Newton solve stops, and the cap on damped
+# float64 Newton steps.
+NEWTON_TOL = 1e-12
+MAX_ITER = 60
+
 
 class Bernstein:
     """Piecewise polynomial in the Bernstein basis.
@@ -177,8 +182,6 @@ class LiouvilleConfig:
     u0: float = 0.0
     u1: float = 0.0
     n: int = 400                  # interval count
-    newton_tol: float = 1e-12
-    max_iter: int = 60
     richardson: bool = True
 
     def __post_init__(self):
@@ -227,9 +230,9 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
     before the first and after every Newton step.
 
     Two phases.  Damped float64 Newton steps run until the residual is below
-    POLISH_BELOW (or newton_tol, max_iter, or a step the line search cannot
+    POLISH_BELOW (or NEWTON_TOL, MAX_ITER, or a step the line search cannot
     make descend); then at most four Newton steps with a long-double residual
-    take it to newton_tol, which a float64 residual cannot reach: second
+    take it to NEWTON_TOL, which a float64 residual cannot reach: second
     differences of O(1) values divided by h^2 bottom out at ~eps/h^2.  Raises
     if the final residual still exceeds cap.  A Newton matrix with a zero or
     non-finite pivot ends either phase like a rejected step.
@@ -263,8 +266,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
     trace = [norm]
     iters = 0
     # phase 1: damped float64 Newton into the quadratic region
-    while norm > cfg.newton_tol and norm >= POLISH_BELOW \
-            and iters < cfg.max_iter:
+    while norm > NEWTON_TOL and norm >= POLISH_BELOW and iters < MAX_ITER:
         step = newton_step(u, -res[1:-1])
         if step is None:
             break          # no step to take: rejected like a non-descent
@@ -306,7 +308,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
             rl = residual_ld(ul)
             norm = float(np.max(np.abs(rl)))
             trace.append(norm)
-            if norm <= cfg.newton_tol or not np.isfinite(norm):
+            if norm <= NEWTON_TOL or not np.isfinite(norm):
                 break
             step = newton_step(ul.astype(float), -rl[1:-1].astype(float))
             if step is None:
@@ -383,8 +385,7 @@ def _fourth_order_first_derivative(x, u):
 
 
 def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
-                    newton_tol=1e-12, richardson=True,
-                    residual_cap=1e-10) -> LiouvilleSolution:
+                    richardson=True, residual_cap=1e-10) -> LiouvilleSolution:
     """Solve u'' = -8 a^2 x e^u with Dirichlet boundary values.
 
     The reported residual is the max-norm of the plugged-back second-order
@@ -394,7 +395,7 @@ def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
     """
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
                           u0=float(boundary[0]), u1=float(boundary[1]), n=n,
-                          newton_tol=newton_tol, richardson=richardson)
+                          richardson=richardson)
     x, u, norm, iters, trace = _newton_solve(cfg, cfg.n, residual_cap)
     traces, correction = (trace,), 0.0
     if cfg.richardson:

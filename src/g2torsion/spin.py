@@ -107,10 +107,6 @@ class CliffordRep:
 
     # ---------------- operators ----------------
 
-    def vector_matrix(self, i):
-        """Gamma matrix of the i-th frame vector, i in 1..7."""
-        return self.gammas[i - 1]
-
     def word(self, indices):
         """Clifford product gamma_{i1} ... gamma_{ik} as an 8x8 matrix."""
         m = linalg.identity(DIM_SPINOR)
@@ -130,15 +126,6 @@ class CliffordRep:
 
     def act(self, form, spinor):
         return linalg.matvec(self.operator(form), spinor)
-
-    def vector_act(self, coords, spinor):
-        """Clifford action of a tangent vector given by 7 coordinates."""
-        acc = [ZERO] * DIM_SPINOR
-        for i, x in enumerate(coords, start=1):
-            x = frac(x)
-            if x:
-                acc = [a + x * b for a, b in zip(acc, linalg.matvec(self.gammas[i - 1], spinor))]
-        return acc
 
     # ---------------- spectra ----------------
 
@@ -178,12 +165,3 @@ def _primitive(v):
 @lru_cache(maxsize=1)
 def standard_rep():
     return CliffordRep()
-
-
-def spinor_scale(c, s):
-    c = frac(c)
-    return [c * x for x in s]
-
-
-def spinor_sub(a, b):
-    return [x - y for x, y in zip(a, b)]

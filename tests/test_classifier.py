@@ -51,15 +51,17 @@ def test_eigen_family_dimension_and_invariants(m1, m2, m3):
 
 
 def test_family_members_solve_the_eigen_system():
-    from g2torsion.spin import standard_rep, spinor_scale
+    from g2torsion.spin import standard_rep
 
     rep = standard_rep()
     m = cl.EigenTriple.of(2, Fraction(-1, 3), 5)
     fam = cl.solve_family(m)
     psis = cl.reference_spinors()
-    member = fam.member([1, 0, Fraction(1, 2), 0, -2, 0, 0, 3, 0])
+    member = fam.particular
+    for t, d in zip([1, 0, Fraction(1, 2), 0, -2, 0, 0, 3, 0], fam.directions, strict=True):
+        member = member + d.scale(t)
     for i in (1, 2, 3):
-        assert rep.act(member, list(psis[i])) == spinor_scale(m.values[i - 1], list(psis[i]))
+        assert rep.act(member, list(psis[i])) == [m.values[i - 1] * x for x in psis[i]]
     # membership test agrees
     assert fam.contains(member)
     assert not fam.contains(member + Form.basis(7, 1, 2, 3))

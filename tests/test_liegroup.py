@@ -1,9 +1,8 @@
 """Invariant calculus on metric Lie algebras.
 
 Oracles: the defining identity d(theta^k)(e_i, e_j) = -c^k_{ij} for the
-invariant differential, d^2 = 0 on algebras satisfying Jacobi, adjointness
-of the codifferential on unimodular algebras, the classical flat
-connections with skew torsion +/- the Cartan 3-form, and the dense-product
+invariant differential, d^2 = 0 on algebras satisfying Jacobi, the
+classical flat connections with skew torsion +/- the Cartan 3-form, and the dense-product
 curvature and holonomy closure of tests/util.
 """
 
@@ -20,7 +19,7 @@ from g2torsion.forms import Form, format_form
 from g2torsion.g2 import char_torsion, standard_omega3, standard_omega4
 from g2torsion.spin import standard_rep
 
-from .util import forms, reference_holonomy_dim, reference_riemann
+from .util import forms, is_metric, reference_holonomy_dim, reference_riemann
 
 SU2_SLOTTED = lg.su2(2, n=7, slots=(1, 2, 3))
 BUNDLED = lg.su2(Fraction(-7), n=7, slots=(1, 2, 7))
@@ -52,21 +51,6 @@ def test_differential_matches_structure_constants():
 @given(ALGEBRAS, st.integers(1, 3).flatmap(lambda k: forms(7, k)))
 def test_differential_squares_to_zero(alg, form):
     assert alg.ce_d(alg.ce_d(form)).is_zero()
-
-
-@given(st.integers(1, 3).flatmap(lambda k: st.tuples(forms(7, k), forms(7, k + 1))))
-def test_codifferential_is_adjoint_on_unimodular(pair):
-    alpha, beta = pair
-    alg = lg.r4_su2(Fraction(5, 3))
-    assert alg.is_unimodular()
-    assert alg.ce_d(alpha).inner(beta) == alpha.inner(alg.codiff(beta))
-
-
-def test_codifferential_warns_on_non_unimodular():
-    solvable = lg.LieAlgebraData(2, {(1, 2): {2: 1}})
-    assert not solvable.is_unimodular()
-    with pytest.warns(UserWarning):
-        solvable.codiff(Form.basis(2, 1, 2))
 
 
 def test_jacobi_violation_is_rejected():
@@ -124,14 +108,14 @@ def test_cartan_three_form_rejects_non_ad_invariant():
 def test_levi_civita_is_metric_and_torsion_free():
     for alg in (SU2_SLOTTED, BUNDLED, lg.abelian(5)):
         conn = lg.levi_civita(alg)
-        assert conn.is_metric()
+        assert is_metric(conn)
         assert conn.torsion_tensor().is_zero()
 
 
 @given(forms(7, 3))
 def test_with_torsion_realizes_its_torsion(t):
     conn = lg.with_torsion(lg.r4_su2(1), t)
-    assert conn.is_metric()
+    assert is_metric(conn)
     assert conn.torsion_tensor() == t
 
 
@@ -162,7 +146,7 @@ def test_holonomy_and_curvature_agree_in_either_order():
     hol_second = lg.holonomy_algebra(second)
     assert cur_first.ric_nabla == cur_second.ric_nabla
     assert cur_first.ric_g == cur_second.ric_g
-    assert cur_first.max_ric_nabla() > 0
+    assert any(any(row) for row in cur_first.ric_nabla)
     assert len(hol_first) == len(hol_second) > 0
     r = cur_first.riemann
     assert r is first.riemann
@@ -198,7 +182,7 @@ def test_bundled_example_full_chain():
     conn = lg.with_torsion(BUNDLED, dec.torsion)
     cur = lg.curvature(conn)
     assert cur.is_nabla_flat()
-    assert cur.max_ric_nabla() == 0
+    assert not any(any(row) for row in cur.ric_nabla)
     assert len(lg.parallel_fields(conn)) == 7
     assert len(conn.parallel_spinors()) == 8
     assert cur.scal_g == Fraction(147, 2)
@@ -311,13 +295,6 @@ def test_relabel_moves_su2_between_slots():
     perm = [1, 2, 7, 4, 5, 6, 3]  # swap frame legs 3 and 7
     moved = lg.relabel(lg.su2(Fraction(-7), n=7, slots=(1, 2, 3)), perm)
     assert moved.structure == BUNDLED.structure
-
-
-def test_serialization_roundtrip():
-    for alg in (SU2_SLOTTED, BUNDLED, lg.abelian(3)):
-        again = lg.parse_algebra(lg.format_algebra(alg))
-        assert again.n == alg.n
-        assert again.structure == alg.structure
 
 
 @pytest.mark.parametrize("text, message", [

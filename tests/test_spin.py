@@ -14,7 +14,7 @@ from g2torsion.forms import Form
 from g2torsion.spin import DIM_SPINOR, standard_rep
 from g2torsion.g2 import standard_omega3
 
-from .util import forms
+from .util import forms, mat_sub
 
 rep = standard_rep()
 
@@ -22,9 +22,9 @@ rep = standard_rep()
 def test_generators_satisfy_clifford_relations():
     ident = linalg.identity(DIM_SPINOR)
     for i in range(1, 8):
-        gi = rep.vector_matrix(i)
+        gi = rep.gammas[i - 1]
         for j in range(1, 8):
-            gj = rep.vector_matrix(j)
+            gj = rep.gammas[j - 1]
             anti = linalg.mat_add(linalg.matmul(gi, gj), linalg.matmul(gj, gi))
             want = linalg.mat_scale(Fraction(-2 if i == j else 0), ident)
             assert anti == want
@@ -32,7 +32,7 @@ def test_generators_satisfy_clifford_relations():
 
 def test_generators_are_skew():
     for i in range(1, 8):
-        g = rep.vector_matrix(i)
+        g = rep.gammas[i - 1]
         assert linalg.transpose(g) == linalg.mat_scale(Fraction(-1), g)
 
 
@@ -70,7 +70,7 @@ def test_square_identity_for_three_forms(t):
     """T.T = |T|^2 id - 2 sigma_T as operators on spinors."""
     op = rep.operator(t)
     squared = linalg.matmul(op, op)
-    rhs = linalg.mat_sub(
+    rhs = mat_sub(
         linalg.mat_scale(t.norm2(), linalg.identity(DIM_SPINOR)),
         linalg.mat_scale(Fraction(2), rep.operator(t.sigma())),
     )
@@ -86,9 +86,12 @@ def test_one_form_clifford_products(a, b):
     assert anti == want
 
 
-def test_vector_act_matches_matrix_action():
+def test_reference_spinors_are_gamma_slot_times_psi0():
+    """Psi_i = gamma_slot . Psi_0 for the slots of EIGEN_SLOTS, in label order."""
+    from g2torsion.classifier import EIGEN_SLOTS, reference_spinors
+
     psi0 = rep.find_psi0()
-    coords = [Fraction(i) for i in (1, 0, -2, 0, 0, 3, 1)]
-    via_matrix = linalg.matvec(rep.operator(
-        Form(7, {(i,): c for i, c in zip(range(1, 8), coords) if c})), psi0)
-    assert rep.vector_act(coords, psi0) == via_matrix
+    psis = reference_spinors()
+    assert psis[0] == tuple(psi0)
+    for psi, slot in zip(psis[1:], EIGEN_SLOTS, strict=True):
+        assert psi == tuple(linalg.matvec(rep.gammas[slot - 1], psi0))

@@ -11,8 +11,7 @@ from g2torsion import coframe as co
 from g2torsion.classifier import reference_spinors
 from g2torsion.forms import Form, basis_indices
 from g2torsion.g2 import lambda27_basis
-from g2torsion.linalg import (frac, identity, mat_scale, mat_sub, matmul, nullspace,
-                              transpose)
+from g2torsion.linalg import frac, identity, mat_scale, matmul, nullspace, transpose
 from g2torsion.liouville import solve_liouville
 from g2torsion.spin import standard_rep
 
@@ -58,6 +57,36 @@ def as_fraction_vector(values):
 def is_orthogonal(q):
     n = len(q)
     return matmul(transpose(q), q) == identity(n)
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def pullback(form, q):
+    """Substitute e_i -> sum_j q[i][j] e_j in every wedge monomial.
+
+    For a k-form alpha the coefficients transform as
+    (pullback alpha)_J = sum_I alpha_I det(q[I, J]) with q[I, J] the
+    submatrix on rows I and columns J.
+    """
+    n = form.n
+    rows = [Form(n, {(j,): q[i - 1][j - 1] for j in range(1, n + 1)})
+            for i in range(1, n + 1)]
+    out = Form.zero(n)
+    for idx, c in form.coeffs.items():
+        term = Form(n, {(): c})
+        for i in idx:
+            term = term.wedge(rows[i - 1])
+        out = out + term
+    return out
+
+
+def is_metric(conn):
+    """Gamma_{ijk} = -Gamma_{ikj}: nabla preserves the frame's metric."""
+    n = conn.n
+    return all(conn.gamma[i][j][k] == -conn.gamma[i][k][j]
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 # a few exact Pythagorean cos/sin pairs for building rational rotations
