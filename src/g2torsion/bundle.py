@@ -187,21 +187,18 @@ def _potential_spline(sol: LiouvilleSolution, a: float) -> Bernstein:
     return quintic_hermite(grid, g, dg, d2g).antiderivative()
 
 
-def assemble_N5(sol: LiouvilleSolution, points=None, rng=None) -> BundleData:
+def assemble_N5(sol: LiouvilleSolution) -> BundleData:
     """Measure the Theorem-1 hypotheses on Z^4 and build the N^5 coframe.
 
     The hypotheses are (1)-(4) of hypothesis_panel and (5) the
     coordinate-line potential satisfies dA = Omega (potential_residual);
-    theorem1_passed judges them.  Without points they are measured at 10
-    points from default_rng(7), as cmd_theorem1 does whatever its --points
-    and --seed say.  The fiber coordinate is realized as a line;
-    eta = ds + Q(x) dy.
+    theorem1_passed judges them.  They are measured at 10 points from
+    default_rng(7), whatever cmd_theorem1's --points and --seed say.  The
+    fiber coordinate is realized as a line; eta = ds + Q(x) dy.
     """
     a = sol.config.a
     base = kahler_coframe(sol)
-    if points is None:
-        rng = rng or np.random.default_rng(7)
-        points = base.sample_points(rng, 10)
+    points = base.sample_points(np.random.default_rng(7), 10)
     hypotheses = hypothesis_panel(base, a, points)
     potential = _potential_spline(sol, a)
     # residual of dA = Omega at the base points: dA/dx vs 2 a x e^u
@@ -253,15 +250,12 @@ def theorem1_passed(hypotheses: dict, report: StromingerReport,
         for k, v in {**hypotheses, **report.residuals}.items())
 
 
-def strominger_check(bundle: BundleData, points=None,
-                     rng=None) -> StromingerReport:
-    """Numerically verify the bundle conclusions at sampled interior points."""
+def strominger_check(bundle: BundleData, points) -> StromingerReport:
+    """Numerically verify the bundle conclusions at interior points of the
+    total space, such as bundle.total.sample_points(rng, count)."""
     cf = bundle.total
     a = bundle.a
     mu2 = 4.0 * a * a
-    if points is None:
-        rng = rng or np.random.default_rng(11)
-        points = cf.sample_points(rng, 10)
     t_frame = bundle.torsion
     t = skew_tensor(t_frame, 5)
     tt_ric = torsion_ricci(t)

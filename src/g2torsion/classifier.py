@@ -469,12 +469,8 @@ class TwoFieldBranch:
 def _hook_constraint_rows(slot):
     """Rows for theta_slot hook (T_1 + Sigma) = 0 over the 21 2-form indices."""
     idx2 = basis_indices(7, 2)
-    rows = []
-    for idx in IDX3:
-        hooked = Form.basis(7, *idx).hook_basis(slot)
-        rows.append(form_to_vector(hooked, idx2))
-    # transpose: one row per 2-form component
-    return [[rows[col][r] for col in range(len(IDX3))] for r in range(len(idx2))]
+    cols = [form_to_vector(Form.basis(7, *idx).hook_basis(slot), idx2) for idx in IDX3]
+    return linalg.transpose(cols)      # one row per 2-form component
 
 
 def two_field_branches(mu):
@@ -639,8 +635,5 @@ def omega_form_identities(torsion, mu):
 def _torsion_kernel_vectors(torsion):
     """Basis of {X in the 5-frame span : X hook T = 0}."""
     idx2 = basis_indices(7, 2)
-    cols = []
-    for e in F_TO_E:
-        cols.append(form_to_vector(torsion.hook_basis(e), idx2))
-    rows = [[cols[c][r] for c in range(5)] for r in range(len(idx2))]
-    return linalg.nullspace(rows)
+    cols = [form_to_vector(torsion.hook_basis(e), idx2) for e in F_TO_E]
+    return linalg.nullspace(linalg.transpose(cols))

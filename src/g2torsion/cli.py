@@ -36,13 +36,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import classifier, pipeline
-from .forms import Form, parse_form
-from .g2 import project3
+from .forms import parse_form
+from .g2 import project3, standard_omega3
 from .liegroup import (abelian, curvature, parse_algebra, parallel_fields,
                        r4_su2, su2, with_torsion)
 from .linalg import parse_rational
 from .pipeline import ChecklistItem, exact_json, rational_str
-from .spin import OCTONION_TRIPLES, standard_rep
+from .spin import standard_rep
 
 
 def _render_text(obj, indent=0):
@@ -248,8 +248,7 @@ def cmd_theorem1(args):
 
 def _selftest_items():
     rep = standard_rep()
-    w3 = Form(7, {k: Fraction(v) for k, v in OCTONION_TRIPLES.items()})
-    spec = {(e.value, e.multiplicity) for e in rep.spectrum(w3)}
+    spec = {(e.value, e.multiplicity) for e in rep.spectrum(standard_omega3())}
     yield ("spinor spectrum of the calibration form",
            spec == {(Fraction(-7), 1), (Fraction(1), 7)},
            ", ".join(f"{rational_str(v)} (x{m})" for v, m in sorted(spec)))

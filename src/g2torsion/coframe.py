@@ -34,6 +34,8 @@ from .forms import basis_indices, perm_sign, sort_index
 Array = np.ndarray
 #: Sample points per Stencil in ``stencils``: memory stays flat for any count.
 CHUNK = 16
+#: Largest Levi-Civita Ricci asymmetry ``Stencil.curvature`` accepts.
+SYMMETRY_TOL = 1e-6
 
 
 # ------------------------------------------------------------ float forms
@@ -251,12 +253,12 @@ class Stencil:
         """d at each point of a coordinate k-form given at the rows."""
         return central_d(values, self.n, k, self.h)
 
-    def curvature(self, t: Array | None = None,
-                  symmetry_tol: float = 1e-6) -> CurvatureReport:
+    def curvature(self, t: Array | None = None) -> CurvatureReport:
         """Curvature, Ricci tensor and Ricci eigenvalues at each point, for
         the Levi-Civita connection or, given a dense skew tensor t, the
-        metric connection with that frame-constant torsion.  An asymmetric
-        Levi-Civita Ricci tensor raises for the first such point.
+        metric connection with that frame-constant torsion.  A Levi-Civita
+        Ricci tensor asymmetric beyond SYMMETRY_TOL raises for the first such
+        point.
 
         R(e_i, e_j) = e_i(M_j) - e_j(M_i) + [M_i, M_j] - c^m_{ij} M_m with
         (M_i)_{lk} = gamma_{ikl}; Ric_{jk} = sum_i R[i, j, i, k].
@@ -275,10 +277,10 @@ class Stencil:
                         out=riemann, where=(c[:, mm] != 0)[..., None, None])
         ric = np.einsum("...ijik->...jk", riemann)
         sym_err = np.max(np.abs(ric - ric.swapaxes(-1, -2)), axis=(-2, -1))
-        if t is None and np.any(sym_err > symmetry_tol):
+        if t is None and np.any(sym_err > SYMMETRY_TOL):
             raise ValueError(
-                f"Ricci asymmetry {sym_err[np.argmax(sym_err > symmetry_tol)]:.3e} "
-                f"exceeds {symmetry_tol:.1e}; "
+                f"Ricci asymmetry {sym_err[np.argmax(sym_err > SYMMETRY_TOL)]:.3e} "
+                f"exceeds {SYMMETRY_TOL:.1e}; "
                 "step too large or point too close to the domain edge")
         # a point with a non-finite Ricci tensor gets NaN eigenvalues, which
         # fail every residual check, instead of a LAPACK convergence error
@@ -304,10 +306,10 @@ def stencils(cf: CoframeField, points):
 
 
 def riemann_ricci(cf: CoframeField, p: Array, torsion: Array | None = None,
-                  h: float | None = None, symmetry_tol: float = 1e-6) -> CurvatureReport:
+                  h: float | None = None) -> CurvatureReport:
     """Curvature at an interior point p, for an optional frame torsion 3-form."""
     t = None if torsion is None else skew_tensor(torsion, cf.n)
-    rep = Stencil(cf, np.asarray(p, dtype=float)[None], h).curvature(t, symmetry_tol)
+    rep = Stencil(cf, np.asarray(p, dtype=float)[None], h).curvature(t)
     return CurvatureReport(*(value[0] for value in vars(rep).values()))
 
 

@@ -255,19 +255,10 @@ class Form:
 
     # ---------------- composite operators ----------------
 
-    def sigma(self, frame=None):
-        """The quadratic two-step contraction (1/2) sum_i (e_i . T)^(e_i . T).
-
-        With the default orthonormal frame or any exact orthogonal replacement
-        frame (rows of an orthogonal matrix) the result agrees.
-        """
-        n = self.n
-        if frame is None:
-            parts = [self.hook_basis(i) for i in range(1, n + 1)]
-        else:
-            parts = [self.hook(list(row)) for row in frame]
-        acc = Form.zero(n)
-        for p in parts:
+    def sigma(self):
+        """The quadratic two-step contraction (1/2) sum_i (e_i . T)^(e_i . T)."""
+        acc = Form.zero(self.n)
+        for p in (self.hook_basis(i) for i in range(1, self.n + 1)):
             acc = acc + p.wedge(p)
         return acc.scale(Fraction(1, 2))
 

@@ -463,9 +463,9 @@ def su2(lam, n=3, slots=(1, 2, 3)):
     return LieAlgebraData(n, structure)
 
 
-def r4_su2(lam, slots=(1, 2, 7)):
-    """R^4 + su(2)_lam inside R^7, with the su(2) frame on the given slots."""
-    return su2(lam, n=7, slots=slots)
+def r4_su2(lam):
+    """R^4 + su(2)_lam inside R^7, with the su(2) frame on the slots (1, 2, 7)."""
+    return su2(lam, n=7, slots=(1, 2, 7))
 
 
 def relabel(algebra, perm):

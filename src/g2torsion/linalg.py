@@ -18,6 +18,9 @@ ONE = Fraction(1)
 
 #: Largest decimal exponent in rational text: Fraction('1eN') builds 10**N.
 MAX_EXPONENT = 1000
+#: rational_roots gives up (not fully split) on a polynomial whose integer
+#: constant or leading coefficient exceeds this: it would list their divisors.
+DIVISOR_CAP = 10**9
 
 
 def parse_rational(text: str) -> Fraction:
@@ -272,7 +275,7 @@ def _synthetic_division(coeffs, r):
     return out[:-1], out[-1]
 
 
-def rational_roots(coeffs, divisor_cap=10**9):
+def rational_roots(coeffs):
     """All rational roots with multiplicity.
 
     Returns (roots, fully_split) where roots is a list of (root, multiplicity)
@@ -292,7 +295,7 @@ def rational_roots(coeffs, divisor_cap=10**9):
             roots[ZERO] = roots.get(ZERO, 0) + 1
             work, _ = _synthetic_division(work, ZERO)
             continue
-        if abs(a0) > divisor_cap or abs(alead) > divisor_cap:
+        if abs(a0) > DIVISOR_CAP or abs(alead) > DIVISOR_CAP:
             return sorted(roots.items()), False
         found = None
         for p in _divisors(a0):

@@ -3,20 +3,20 @@
 The conformal factor u of the explicit Kaehler metric, reduced to the ansatz
 u = u(x), satisfies
 
-    u'' = -8 a^2 x e^u        on [x0, x1], x0 > 0,
+    u'' = -8 a^2 x e^u        on [x0, x1], x0 > 0,   u(x0) = u(x1) = 0.
 
-with Dirichlet boundary values.  The central finite-difference discretization
-is solved in two phases: damped float64 Newton steps carry the iterate into
-the quadratic region, where the residual is below POLISH_BELOW, and Newton
-steps with a long-double residual then polish it to a strict tolerance, below
-the ~eps/h^2 floor a float64 residual cannot beat.  The n-interval solve
-starts from the straight line between the boundary values.  A Richardson pass
-on a doubled grid removes the leading O(h^2) discretization error; that solve
-starts from the converged n-interval solution, prolonged to the 2n-interval
-grid by cubic interpolation (nested iteration), so it needs only a step or
-two.  The result is packaged as a C^2 quintic Hermite evaluator whose second
-derivative at the nodes is taken from the ODE itself, so downstream curvature
-checks see a solution accurate to ~1e-10.
+The central finite-difference discretization is solved in two phases: damped
+float64 Newton steps carry the iterate into the quadratic region, where the
+residual is below POLISH_BELOW, and Newton steps with a long-double residual
+then polish it to a strict tolerance, below the ~eps/h^2 floor a float64
+residual cannot beat; a solve whose residual ends above RESIDUAL_CAP raises.
+The n-interval solve starts from u = 0.  A Richardson pass on a doubled grid
+always follows and removes the leading O(h^2) discretization error; that
+solve starts from the converged n-interval solution, prolonged to the
+2n-interval grid by cubic interpolation (nested iteration), so it needs only
+a step or two.  The result is packaged as a C^2 quintic Hermite evaluator
+whose second derivative at the nodes is taken from the ODE itself, so
+downstream curvature checks see a solution accurate to ~1e-10.
 quintic_hermite builds the Bernstein coefficients of such an evaluator for
 all intervals in one vectorised step.
 
@@ -39,10 +39,11 @@ import numpy as np
 # on the rounding floor.
 POLISH_BELOW = 1e-6
 
-# Residual max-norm at which a Newton solve stops, and the cap on damped
-# float64 Newton steps.
+# Residual max-norm at which a Newton solve stops, the cap on damped float64
+# Newton steps, and the residual max-norm above which a solve fails.
 NEWTON_TOL = 1e-12
 MAX_ITER = 60
+RESIDUAL_CAP = 1e-10
 
 
 class Bernstein:
@@ -179,10 +180,7 @@ class LiouvilleConfig:
     a: float
     x0: float = 1.0
     x1: float = 2.0
-    u0: float = 0.0
-    u1: float = 0.0
     n: int = 400                  # interval count
-    richardson: bool = True
 
     def __post_init__(self):
         if self.x0 <= 0:
@@ -217,14 +215,14 @@ class LiouvilleSolution:
     du: Bernstein = field(repr=False)     # u'
     d2u: Bernstein = field(repr=False)    # u''
     # Residual max-norm before and after each Newton step, one tuple per
-    # solve: the n-interval solve, then the doubled-grid one under Richardson.
+    # solve: (n-interval solve, doubled-grid Richardson solve).
     trace: tuple
-    richardson_correction: float  # max-norm of the correction; 0.0 without
+    richardson_correction: float  # max-norm of the correction
 
 
-def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
+def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
     """Solve the discrete system on n intervals from the n + 1 node values
-    ``start``, by default the straight line between the boundary values.
+    ``start``, by default u = 0.
 
     Returns (grid, u, res, iters, trace), trace being the residual max-norm
     before the first and after every Newton step.
@@ -234,15 +232,12 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
     make descend); then at most four Newton steps with a long-double residual
     take it to NEWTON_TOL, which a float64 residual cannot reach: second
     differences of O(1) values divided by h^2 bottom out at ~eps/h^2.  Raises
-    if the final residual still exceeds cap.  A Newton matrix with a zero or
-    non-finite pivot ends either phase like a rejected step.
+    if the final residual still exceeds RESIDUAL_CAP.  A Newton matrix with a
+    zero or non-finite pivot ends either phase like a rejected step.
     """
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
     h = (cfg.x1 - cfg.x0) / n
-    if start is None:
-        u = np.linspace(cfg.u0, cfg.u1, n + 1)
-    else:
-        u = np.asarray(start, dtype=float)
+    u = np.zeros(n + 1) if start is None else np.asarray(start, dtype=float)
     coeff = 8.0 * cfg.a ** 2
 
     def residual(uv):
@@ -315,10 +310,10 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, cap: float, start=None):
                 break
             ul[1:-1] += step
             iters += 1
-    if not np.isfinite(norm) or norm > cap:
+    if not np.isfinite(norm) or norm > RESIDUAL_CAP:
         raise RuntimeError(
             f"Newton did not converge: residual {norm:.3e} after {iters} "
-            f"iterations (cap {cap:.1e}); trace "
+            f"iterations (cap {RESIDUAL_CAP:.1e}); trace "
             + " -> ".join(f"{t:.2e}" for t in trace))
     return x, ul, norm, iters, tuple(trace)
 
@@ -384,42 +379,32 @@ def _fourth_order_first_derivative(x, u):
     return du
 
 
-def solve_liouville(a, domain=(1.0, 2.0), boundary=(0.0, 0.0), n=400,
-                    richardson=True, residual_cap=1e-10) -> LiouvilleSolution:
-    """Solve u'' = -8 a^2 x e^u with Dirichlet boundary values.
+def solve_liouville(a, domain=(1.0, 2.0), n=400) -> LiouvilleSolution:
+    """Solve u'' = -8 a^2 x e^u with zero Dirichlet values on the domain.
 
     The reported residual is the max-norm of the plugged-back second-order
     discretization on the solve grid; the solver raises if it cannot be
-    driven below residual_cap, on the solve grid and on the doubled
+    driven below RESIDUAL_CAP, on the solve grid and on the doubled
     Richardson grid alike.
     """
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
-                          u0=float(boundary[0]), u1=float(boundary[1]), n=n,
-                          richardson=richardson)
-    x, u, norm, iters, trace = _newton_solve(cfg, cfg.n, residual_cap)
-    traces, correction = (trace,), 0.0
-    if cfg.richardson:
-        # nested iteration: the fine solve starts from the coarse solution
-        _, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n,
-                                                     residual_cap, prolong(u))
-        # O(h^2) error field on the coarse nodes (which sit at even positions
-        # of the fine grid); it is smooth, so a cubic spline carries the
-        # Richardson correction onto all fine nodes.
-        corr = ((u2[::2] - u) / np.longdouble(3)).astype(float)
-        fine = np.linspace(cfg.x0, cfg.x1, 2 * cfg.n + 1)
-        grid_eval = fine
-        u_eval = u2 + not_a_knot_spline(x, corr, fine)
-        values = u2[::2] + corr      # the extrapolant u2 + (u2 - u)/3
-        norm = max(norm, norm2)
-        iters += iters2
-        traces += (trace2,)
-        correction = float(np.max(np.abs(corr)))
-    else:
-        grid_eval, u_eval, values = x, u, u
-    du = _fourth_order_first_derivative(grid_eval, u_eval)
-    d2u = -8.0 * cfg.a ** 2 * grid_eval * np.exp(u_eval)   # ODE-consistent
-    poly = quintic_hermite(grid_eval, u_eval, du, d2u)
+                          n=n)
+    x, u, norm, iters, trace = _newton_solve(cfg, cfg.n)
+    # nested iteration: the fine solve starts from the coarse solution
+    _, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n, prolong(u))
+    # O(h^2) error field on the coarse nodes (which sit at even positions of
+    # the fine grid); it is smooth, so a cubic spline carries the Richardson
+    # correction onto all fine nodes.
+    corr = ((u2[::2] - u) / np.longdouble(3)).astype(float)
+    fine = np.linspace(cfg.x0, cfg.x1, 2 * cfg.n + 1)
+    u_fine = u2 + not_a_knot_spline(x, corr, fine)
+    du = _fourth_order_first_derivative(fine, u_fine)
+    d2u = -8.0 * cfg.a ** 2 * fine * np.exp(u_fine)   # ODE-consistent
+    poly = quintic_hermite(fine, u_fine, du, d2u)
     dpoly = poly.derivative()
     d2poly = dpoly.derivative()
-    return LiouvilleSolution(cfg, x, np.asarray(values, dtype=float), norm,
-                             iters, poly, dpoly, d2poly, traces, correction)
+    values = u2[::2] + corr      # the extrapolant u2 + (u2 - u)/3
+    return LiouvilleSolution(cfg, x, np.asarray(values, dtype=float),
+                             max(norm, norm2), iters + iters2, poly, dpoly,
+                             d2poly, (trace, trace2),
+                             float(np.max(np.abs(corr))))

@@ -69,7 +69,8 @@ def test_assemble_rejects_tampered_solution():
     tampered = dataclasses.replace(SOL, u=other.u, du=other.du, d2u=other.d2u)
     data = bd.assemble_N5(tampered)
     assert data.hypotheses["ricci_deviation"] > 1e-6
-    report = bd.strominger_check(data, rng=np.random.default_rng(9))
+    report = bd.strominger_check(
+        data, data.total.sample_points(np.random.default_rng(9), 10))
     assert not bd.theorem1_passed(data.hypotheses, report, 1e-6)
 
 
@@ -105,7 +106,8 @@ def test_bundle_coframe_shape():
 
 def test_strominger_conclusions():
     data = bd.assemble_N5(SOL)
-    report = bd.strominger_check(data, rng=np.random.default_rng(9))
+    report = bd.strominger_check(
+        data, data.total.sample_points(np.random.default_rng(9), 10))
     items = report.residuals
     assert tuple(items) == RESIDUALS
     assert items["torsion_norm"] < 1e-8, items
@@ -151,7 +153,8 @@ def test_degenerate_case_at_zero_parameter():
     sol0 = solve_liouville(0.0)
     data = bd.assemble_N5(sol0)
     assert not data.torsion.any()
-    report = bd.strominger_check(data, rng=np.random.default_rng(9))
+    report = bd.strominger_check(
+        data, data.total.sample_points(np.random.default_rng(9), 10))
     assert max(report.residuals.values()) < 1e-6
     assert max(data.hypotheses.values()) < 1e-6
     assert np.max(np.abs(report.ricci_eigenvalues)) < 1e-7

@@ -265,8 +265,8 @@ def test_nan_residual_at_a_later_point_fails_closed(capsys, monkeypatch):
 
     curvature = coframe.Stencil.curvature
 
-    def planted(self, t=None, symmetry_tol=1e-6):
-        rep = curvature(self, t, symmetry_tol)
+    def planted(self, t=None):
+        rep = curvature(self, t)
         if t is None and len(rep.scal) == 3:     # the conclusions' points only
             rep.scal[1] = np.nan
         return rep

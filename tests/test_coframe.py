@@ -174,7 +174,7 @@ def test_asymmetric_ricci_raises_without_torsion():
 
     cf = co.CoframeField(3, ((0.1, 0.9),) * 3, fd_frame(matrix, 3, 0.25), h=0.25)
     with pytest.raises(ValueError, match="asymmetry"):
-        co.riemann_ricci(cf, np.array([0.5, 0.5, 0.5]), symmetry_tol=1e-12)
+        co.riemann_ricci(cf, np.array([0.5, 0.5, 0.5]))
 
 
 def test_numeric_d_on_polynomial_form():

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from g2torsion import linalg
 
 from .util import (dense_commutator, dense_matvec, is_orthogonal, random_rotation,
-                   rational_matrix, reference_rref, small_fractions, vectors)
+                   rational_matrix, reference_rref, vectors)
 
 F = Fraction
 

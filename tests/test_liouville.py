@@ -15,17 +15,17 @@ from g2torsion.liouville import (POLISH_BELOW, LiouvilleConfig, prolong,
                                  quintic_hermite, solve_liouville,
                                  tridiagonal_solve)
 
-from .util import is_concave, ode_rhs, refinement_orders
+from .util import is_concave, ode_rhs, raw_solve, refinement_orders
 
 RNG = np.random.default_rng(11)
 
 
 def test_zero_parameter_solution_is_linear():
-    sol = solve_liouville(0.0, domain=(1.0, 3.0), boundary=(-1.0, 2.0))
+    """At a = 0 the solution is the line through the zero boundary values."""
+    sol = solve_liouville(0.0, domain=(1.0, 3.0))
     xs = np.linspace(1.0, 3.0, 17)
-    want = -1.0 + (xs - 1.0) * 1.5
-    assert np.max(np.abs(sol.u(xs) - want)) < 1e-12
-    assert np.max(np.abs(sol.du(xs) - 1.5)) < 1e-10
+    assert np.max(np.abs(sol.u(xs))) < 1e-12
+    assert np.max(np.abs(sol.du(xs))) < 1e-10
     assert np.max(np.abs(sol.d2u(xs))) < 1e-10
     assert sol.residual_norm < 1e-12
 
@@ -80,10 +80,10 @@ def test_refinement_is_second_order():
 
 
 def test_richardson_improves_raw_solution():
-    ref = solve_liouville(0.5, n=1600, richardson=True)
-    raw = solve_liouville(0.5, n=50, richardson=False)
-    rich = solve_liouville(0.5, n=50, richardson=True)
-    err_raw = float(np.max(np.abs(raw.values - ref.u(raw.grid))))
+    ref = solve_liouville(0.5, n=1600)
+    x, raw, _ = raw_solve(0.5, 50)
+    rich = solve_liouville(0.5, n=50)
+    err_raw = float(np.max(np.abs(raw - ref.u(x))))
     err_rich = float(np.max(np.abs(rich.values - ref.u(rich.grid))))
     assert err_rich < err_raw / 20
 
@@ -99,10 +99,11 @@ def test_config_validation():
         LiouvilleConfig(a=0.5, n=2)
 
 
-def test_residual_cap_is_enforced():
+def test_residual_cap_is_enforced(monkeypatch):
     """An unreachable cap raises instead of silently returning a bad solve."""
-    with pytest.raises(RuntimeError):
-        solve_liouville(0.5, n=8, richardson=False, residual_cap=1e-30)
+    monkeypatch.setattr(liouville, "RESIDUAL_CAP", 1e-30)
+    with pytest.raises(RuntimeError, match=r"cap 1\.0e-30"):
+        solve_liouville(0.5, n=8)
 
 
 def test_supercritical_parameter_fails_cleanly():
@@ -132,7 +133,7 @@ def test_quintic_hermite_matches_scipy_bit_for_bit(nodes, uniform):
 def test_newton_trace_and_richardson_correction_are_kept():
     sol = solve_liouville(0.5, n=100)
     coarse, fine = sol.trace
-    # the coarse solve starts from the straight line, the fine one from the
+    # the coarse solve starts from u = 0, the fine one from the
     # prolonged coarse solution, whose residual is about 1e-3 at h = 1/200
     assert coarse[0] > 1.0 and fine[0] < 1e-2
     for trace in (coarse, fine):
@@ -143,10 +144,10 @@ def test_newton_trace_and_richardson_correction_are_kept():
     assert sol.residual_norm == max(coarse[-1], fine[-1])
     # the correction (u_{h/2} - u_h)/3 is O(h^2): about 1e-5 at h = 1/100
     assert 1e-8 < sol.richardson_correction < 1e-4
-    raw = solve_liouville(0.5, n=100, richardson=False)
-    assert len(raw.trace) == 1 and raw.richardson_correction == 0.0
+    _, raw, raw_trace = raw_solve(0.5, 100)
+    assert raw_trace == coarse
     # the extrapolant u_h + 4 (u_{h/2} - u_h)/3 moves the raw nodes by 4 corr
-    assert np.max(np.abs(sol.values - raw.values)) == pytest.approx(
+    assert np.max(np.abs(sol.values - raw)) == pytest.approx(
         4 * sol.richardson_correction, rel=1e-6)
 
 

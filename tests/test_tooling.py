@@ -5,7 +5,9 @@ a name that no longer resolves would only fail the benchmark run, so it is
 checked here.  The scripts under ``scripts/`` are run once with small
 arguments.  Every function and class of the package must have a caller in
 the package or the scripts, or be public or traced: code only tests call
-belongs in ``tests/util.py``.
+belongs in ``tests/util.py``.  Likewise every defaulted parameter must be
+passed by some call in the package or the scripts, and no module imports a
+name it never uses.
 """
 
 import ast
@@ -78,6 +80,109 @@ def uncalled_definitions():
 
 def test_every_definition_has_a_caller_outside_tests():
     assert uncalled_definitions() == []
+
+
+#: Defaulted parameters that no call in src/ or scripts/ passes, kept on purpose.
+#: Traced names are listed one parameter at a time, so a new option on a
+#: traced function such as solve_liouville is still caught.
+UNPASSED_DEFAULTS = {
+    ("LieAlgebraData", "check_jacobi"): "the test seam for the dense Jacobi reference",
+    ("main", "argv"): "traced; the in-process entry point perfbench and tests call",
+    ("riemann_ricci", "torsion"): "traced single-point wrapper, kept until the tracer moves",
+    ("riemann_ricci", "h"): "traced single-point wrapper, kept until the tracer moves",
+    ("numeric_d", "h"): "traced single-point wrapper, kept until the tracer moves",
+}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index at the call or None) of each
+    defaulted parameter of a def; __init__ is called by its class name, and
+    a method's index skips self or cls."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, cls)
+                continue
+            bound = cls is not None
+            name = cls if child.name == "__init__" else child.name
+            args = child.args
+            pos = args.posonlyargs + args.args
+            first = len(pos) - len(args.defaults)
+            out.extend((name, arg.arg, first + i - bound)
+                       for i, arg in enumerate(pos[first:]))
+            out.extend((name, arg.arg, None)
+                       for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def unpassed_defaults():
+    """(file, callee, parameter) of each defaulted parameter of a def in
+    src/g2torsion that no call in the package or scripts/ passes, by keyword
+    (or **mapping) or by position (or *args), except UNPASSED_DEFAULTS: a
+    default nothing overrides is a constant."""
+    calls = {}
+    for path in sorted((ROOT / "src" / "g2torsion").glob("*.py")) + sorted(
+            (ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(callee, param, index):
+        for call in calls.get(callee, ()):
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            if index is not None and (len(call.args) > index or any(
+                    isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    return [(path.name, callee, param)
+            for path in sorted((ROOT / "src" / "g2torsion").glob("*.py"))
+            for callee, param, index in _defaulted_parameters(ast.parse(path.read_text()))
+            if (callee, param) not in UNPASSED_DEFAULTS
+            and not passed(callee, param, index)]
+
+
+def test_every_default_is_overridden_outside_tests():
+    assert unpassed_defaults() == []
+
+
+def unused_imports():
+    """(file, name) of each name a module under src/, tests/ or scripts/
+    imports and never loads; names listed in the module's __all__ count as
+    used."""
+    out = []
+    for path in sorted(p for d in ("src", "tests", "scripts")
+                       for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        out += [(str(path.relative_to(ROOT)), name)
+                for name in imported if name not in used]
+    return out
+
+
+def test_no_module_imports_an_unused_name():
+    assert unused_imports() == []
 
 
 @pytest.mark.parametrize("argv", [

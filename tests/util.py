@@ -12,7 +12,7 @@ from g2torsion.classifier import reference_spinors
 from g2torsion.forms import Form, basis_indices
 from g2torsion.g2 import lambda27_basis
 from g2torsion.linalg import frac, identity, mat_scale, matmul, nullspace, transpose
-from g2torsion.liouville import solve_liouville
+from g2torsion.liouville import LiouvilleConfig, _newton_solve, solve_liouville
 from g2torsion.spin import standard_rep
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -107,6 +107,16 @@ def plane_rotation(n, i, j, c, s):
     q[i][j] = -s
     q[j][i] = s
     return q
+
+
+def frame_sigma(form, frame):
+    """Form.sigma in the frame given by the rows of an orthogonal matrix:
+    (1/2) sum_i (f_i . T)^(f_i . T) with f_i the i-th row."""
+    acc = Form.zero(form.n)
+    for row in frame:
+        part = form.hook(list(row))
+        acc = acc + part.wedge(part)
+    return acc.scale(Fraction(1, 2))
 
 
 def random_rotation(n, rng, steps=6):
@@ -370,7 +380,7 @@ def reference_numeric_d(form_fn, n, k, p, h=1e-5):
                        minlength=comb(n, k + 1))
 
 
-def reference_riemann_ricci(cf, p, torsion=None, h=None, symmetry_tol=1e-6):
+def reference_riemann_ricci(cf, p, torsion=None, h=None):
     """Curvature with structure functions recomputed at every displaced point."""
     p = np.asarray(p, dtype=float)
     h = h if h is not None else cf.h
@@ -401,7 +411,7 @@ def reference_riemann_ricci(cf, p, torsion=None, h=None, symmetry_tol=1e-6):
         riemann[i, j] -= c[mm, i, j][:, None, None] * m0[mm]
     ric = np.einsum("ijik->jk", riemann)
     sym_err = float(np.max(np.abs(ric - ric.T)))
-    if sym_err > symmetry_tol and torsion is None:
+    if sym_err > co.SYMMETRY_TOL and torsion is None:
         raise ValueError(f"Ricci asymmetry {sym_err:.3e}")
     eig = np.linalg.eigvalsh(0.5 * (ric + ric.T))
     return co.CurvatureReport(riemann, ric, eig, sym_err, float(np.trace(ric)))
@@ -419,17 +429,23 @@ def is_concave(sol):
     return bool(np.all(sol.d2u(sol.grid) <= 1e-12))
 
 
-def refinement_orders(a, domain=(1.0, 2.0), boundary=(0.0, 0.0),
-                      grids=(25, 50, 100, 200)):
+def raw_solve(a, n):
+    """(grid, node values, trace) of the n-interval Newton solve on [1, 2],
+    without the Richardson pass."""
+    x, u, _, _, trace = _newton_solve(LiouvilleConfig(a=a, n=n), n)
+    return x, u.astype(float), trace
+
+
+def refinement_orders(a, grids=(25, 50, 100, 200)):
     """Observed convergence orders of the raw (non-Richardson) solve.
 
     Compares successive solutions against a fine reference solution and
     returns log2 error ratios; second-order discretization gives values
     near 2.
     """
-    ref = solve_liouville(a, domain, boundary, n=4 * grids[-1], richardson=True)
+    ref = solve_liouville(a, n=4 * grids[-1])
     errors = []
     for n in grids:
-        sol = solve_liouville(a, domain, boundary, n=n, richardson=False)
-        errors.append(float(np.max(np.abs(sol.values - ref.u(sol.grid)))))
+        x, u, _ = raw_solve(a, n)
+        errors.append(float(np.max(np.abs(u - ref.u(x)))))
     return [log(errors[i] / errors[i + 1], 2) for i in range(len(errors) - 1)]
