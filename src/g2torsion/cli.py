@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -73,10 +74,10 @@ def emit(payload: dict, args) -> None:
     if args.report_path:
         with open(args.report_path, "w") as fh:
             fh.write(text + "\n")
-    if args.fmt == "json":
-        print(text)
-    else:
-        print("\n".join(_render_text(rendered)))
+    try:
+        print(text if args.fmt == "json" else "\n".join(_render_text(rendered)), flush=True)
+    except BrokenPipeError:     # the reader closed stdout, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ------------------------------------------------------------ subcommands

@@ -102,32 +102,28 @@ class LieAlgebraData:
     # ---------------- invariant calculus ----------------
 
     def ce_d(self, form):
-        """Invariant exterior derivative (Chevalley-Eilenberg differential)."""
+        """Invariant exterior derivative (Chevalley-Eilenberg differential), each
+        d theta^i expanded in place into index tuples that one Form sorts."""
         if form.n != self.n:
             raise ValueError("form frame dimension does not match the algebra")
-        d_basis = self._d_basis()
-        out = Form.zero(self.n)
+        d_basis = self._d_basis
+        acc = {}
         for idx, coeff in form.coeffs.items():
             for t, i in enumerate(idx):
-                sign = -1 if t % 2 else 1
-                prefix = Form(self.n, {idx[:t]: sign * coeff})
-                suffix = Form(self.n, {idx[t + 1 :]: ONE})
-                out = out + prefix.wedge(d_basis[i - 1]).wedge(suffix)
-        return out
+                c = -coeff if t % 2 else coeff
+                for ab, v in d_basis[i - 1].items():
+                    key = idx[:t] + ab + idx[t + 1:]
+                    acc[key] = acc.get(key, ZERO) + c * v
+        return Form(self.n, acc)
 
+    @cached_property
     def _d_basis(self):
-        if not hasattr(self, "_d_basis_cache"):
-            basis = []
-            for k in range(1, self.n + 1):
-                acc = {}
-                for i in range(1, self.n + 1):
-                    for j in range(i + 1, self.n + 1):
-                        ck = self.c(i, j, k)
-                        if ck:
-                            acc[(i, j)] = acc.get((i, j), ZERO) - ck
-                basis.append(Form(self.n, acc))
-            self._d_basis_cache = basis
-        return self._d_basis_cache
+        """d theta^k = -sum_{i<j} c^k_{ij} theta^{ij}, as {(i, j): coeff} per k."""
+        basis = [{} for _ in range(self.n)]
+        for ij, comp in self.structure.items():
+            for k, v in comp.items():
+                basis[k - 1][ij] = -v
+        return basis
 
     def cartan_three_form(self):
         """The 3-form <[X, Y], Z> of the algebra.
@@ -183,33 +179,26 @@ class InvariantConnection:
         return [[g[k][l] for k in range(n)] for l in range(n)]
 
     def torsion_tensor(self):
-        """Recompute the torsion 3-tensor from Gamma; returns a Form if skew."""
-        n = self.n
-        alg = self.algebra
-        t = [
-            [
-                [
-                    self.gamma[i][j][k] - self.gamma[j][i][k] - alg.c(i + 1, j + 1, k + 1)
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i][j][k] != -t[i][k][j]:
-                        raise ValueError("torsion tensor is not totally skew")
-        return Form(
-            n,
-            {
-                (i + 1, j + 1, k + 1): t[i][j][k]
-                for i in range(n)
-                for j in range(i + 1, n)
-                for k in range(j + 1, n)
-            },
-        )
+        """Recompute the torsion 3-tensor from Gamma; returns a Form if skew.
+
+        t_{ijk} = Gamma_{ijk} - Gamma_{jik} - c^k_{ij} from the nonzero Gamma
+        and brackets; skewness is checked on the nonzero entries."""
+        t = {}
+        for i, gi in enumerate(self.gamma):
+            for j, gij in enumerate(gi):
+                for k, g in enumerate(gij):
+                    if g:
+                        t[(i, j, k)] = t.get((i, j, k), ZERO) + g
+                        t[(j, i, k)] = t.get((j, i, k), ZERO) - g
+        for (i, j), comp in self.algebra.structure.items():
+            for k, v in comp.items():
+                t[(i - 1, j - 1, k - 1)] = t.get((i - 1, j - 1, k - 1), ZERO) - v
+                t[(j - 1, i - 1, k - 1)] = t.get((j - 1, i - 1, k - 1), ZERO) + v
+        for (i, j, k), v in t.items():
+            if v and t.get((i, k, j), ZERO) != -v:
+                raise ValueError("torsion tensor is not totally skew")
+        return Form(self.n, {(i + 1, j + 1, k + 1): t[(i, j, k)]
+                             for i, j, k in sorted(t) if i < j < k})
 
     # ---------------- derivatives of tensors ----------------
 
@@ -292,14 +281,23 @@ def with_torsion(algebra, torsion):
         raise ValueError("torsion must be a 3-form")
     if torsion.n != algebra.n:
         raise ValueError("torsion frame dimension does not match the algebra")
-    c = algebra.c
-    r = range(1, algebra.n + 1)
-    gamma = tuple(
-        tuple(
-            tuple(HALF * (c(i, j, k) - c(j, k, i) + c(k, i, j) + torsion[(i, j, k)])
-                  for k in r)
-            for j in r)
-        for i in r)
+    n = algebra.n
+    g = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    # c^k_{ij} enters Gamma_{ijk} and Gamma_{jki} with +, Gamma_{kij} with -, and
+    # the (i, j)-swapped slot of each with the opposite sign
+    for (i, j), comp in algebra.structure.items():
+        for k, v in comp.items():
+            h = HALF * v
+            for a, b, c, s in ((i, j, k, h), (j, i, k, -h), (k, i, j, -h),
+                               (k, j, i, h), (j, k, i, h), (i, k, j, -h)):
+                g[a - 1][b - 1][c - 1] += s
+    # T_{abc} enters its six permutations with their signs
+    for (a, b, c), v in torsion.coeffs.items():
+        h = HALF * v
+        for p, q, r, s in ((a, b, c, h), (b, c, a, h), (c, a, b, h),
+                           (b, a, c, -h), (a, c, b, -h), (c, b, a, -h)):
+            g[p - 1][q - 1][r - 1] += s
+    gamma = tuple(tuple(tuple(row) for row in gi) for gi in g)
     return InvariantConnection(algebra, gamma, torsion)
 
 

@@ -529,6 +529,31 @@ def test_reused_parser_keeps_no_state(capsys):
         assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
+@pytest.mark.parametrize("argv, algebra, code", [
+    (["kernels", "--format", "json"], None, 0),
+    (["group-report"], BUNDLED_ALG, 0),
+    (["group-report"], MISPLACED_ALG, 1),
+], ids=["kernels", "group-report-bundled", "group-report-misplaced"])
+def test_closed_stdout_exits_quietly_with_the_verdict(tmp_path, argv, algebra, code):
+    """Writing into a pipe whose reader is already gone (a `| head` that has
+    stopped reading) prints no traceback and keeps the verdict's exit code."""
+    if algebra is not None:
+        f = tmp_path / "input.alg"
+        f.write_text(algebra)
+        argv = argv + [str(f)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "g2torsion.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_text_format_mentions_pass(capsys):
     code = main(["kernels"])
     out = capsys.readouterr().out

@@ -1,9 +1,11 @@
 """Invariant calculus on metric Lie algebras.
 
-Oracles: the defining identity d(theta^k)(e_i, e_j) = -c^k_{ij} for the
-invariant differential, d^2 = 0 on algebras satisfying Jacobi, the
-classical flat connections with skew torsion +/- the Cartan 3-form, and the dense-product
-curvature and holonomy closure of tests/util.
+Oracles: the dense all-slots Koszul formula, torsion tensor and
+wedge-by-wedge differential of tests/util, the defining identity
+d(theta^k)(e_i, e_j) = -c^k_{ij} for the invariant differential, d^2 = 0 on
+algebras satisfying Jacobi, the classical flat connections with skew torsion
++/- the Cartan 3-form, and the dense-product curvature and holonomy closure
+of tests/util.
 """
 
 import random
@@ -19,7 +21,8 @@ from g2torsion.forms import Form, format_form
 from g2torsion.g2 import char_torsion, standard_omega3, standard_omega4
 from g2torsion.spin import standard_rep
 
-from .util import forms, is_metric, reference_holonomy_dim, reference_riemann
+from .util import (forms, is_metric, reference_ce_d, reference_holonomy_dim,
+                   reference_riemann, reference_torsion_tensor, reference_with_torsion)
 
 SU2_SLOTTED = lg.su2(2, n=7, slots=(1, 2, 3))
 BUNDLED = lg.su2(Fraction(-7), n=7, slots=(1, 2, 7))
@@ -410,3 +413,56 @@ HOLONOMY_CASES = (
                          ids=[name for name, _ in HOLONOMY_CASES])
 def test_holonomy_dimension_matches_dense_closure(conn):
     assert len(lg.holonomy_algebra(conn)) == reference_holonomy_dim(conn)
+
+
+def random_structure(rng, n):
+    """Up to five brackets with one to three fractional targets each, some
+    pointing back into their own pair; Jacobi is not imposed."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return {ij: {rng.randint(1, n): Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 for _ in range(rng.randint(1, 3))}
+            for ij in rng.sample(pairs, min(len(pairs), rng.randint(0, 5)))}
+
+
+def random_form(rng, n, degrees, terms=4):
+    return Form(n, {tuple(sorted(rng.sample(range(1, n + 1), rng.choice(degrees)))):
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                    for _ in range(terms)})
+
+
+def torsion_or_error(compute):
+    """The coefficients of compute(), or the message of its ValueError."""
+    try:
+        return compute().coeffs
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nonzero_entry_connection_matches_dense_koszul(n):
+    """Gamma, the recomputed torsion and d from nonzero entries equal the
+    dense all-slots references on random structures (Jacobi not imposed)
+    with fractional 3-form torsion; a Gamma perturbed at one slot raises
+    exactly when the dense skewness check does."""
+    rng = random.Random(100 + n)
+    outcomes = set()
+    for _ in range(40):
+        alg = lg.LieAlgebraData(n, random_structure(rng, n), check_jacobi=False)
+        t = random_form(rng, n, [3]) if n >= 3 else Form.zero(n)
+        conn = lg.with_torsion(alg, t)
+        assert conn.gamma == reference_with_torsion(alg, t)
+        assert all(type(x) is Fraction for g in conn.gamma for row in g for x in row)
+        assert conn.torsion_tensor().coeffs == reference_torsion_tensor(conn).coeffs
+        assert conn.torsion_tensor() == t
+        gamma = [[list(row) for row in g] for g in conn.gamma]
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        gamma[i][j][k] += Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        bent = lg.InvariantConnection(alg, tuple(tuple(map(tuple, g)) for g in gamma), t)
+        got = torsion_or_error(bent.torsion_tensor)
+        assert got == torsion_or_error(lambda: reference_torsion_tensor(bent))
+        outcomes.add(type(got))
+        form = random_form(rng, n, range(n + 1))
+        assert alg.ce_d(form).coeffs == reference_ce_d(alg, form).coeffs
+        assert alg.ce_d(t).coeffs == reference_ce_d(alg, t).coeffs
+    if n > 1:
+        assert outcomes == {str, dict}      # both branches of the check ran

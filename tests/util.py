@@ -252,6 +252,55 @@ def reference_holonomy_dim(conn):
     return len(basis)
 
 
+def reference_with_torsion(algebra, torsion):
+    """Gamma_{ijk} = 1/2 (c^k_{ij} - c^i_{jk} + c^j_{ki} + T_{ijk}), entry by
+    entry over all n^3 slots."""
+    c = algebra.c
+    r = range(1, algebra.n + 1)
+    return tuple(
+        tuple(
+            tuple(Fraction(1, 2) * (c(i, j, k) - c(j, k, i) + c(k, i, j) + torsion[(i, j, k)])
+                  for k in r)
+            for j in r)
+        for i in r)
+
+
+def reference_torsion_tensor(conn):
+    """t_{ijk} = Gamma_{ijk} - Gamma_{jik} - c^k_{ij} over all n^3 slots, as
+    a Form; raises unless t_{ijk} = -t_{ikj} at every slot."""
+    n = conn.n
+    alg = conn.algebra
+    t = [[[conn.gamma[i][j][k] - conn.gamma[j][i][k] - alg.c(i + 1, j + 1, k + 1)
+           for k in range(n)]
+          for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[i][j][k] != -t[i][k][j]:
+                    raise ValueError("torsion tensor is not totally skew")
+    return Form(n, {(i + 1, j + 1, k + 1): t[i][j][k]
+                    for i, j, k in combinations(range(n), 3)})
+
+
+def reference_ce_d(algebra, form):
+    """d as an antiderivation: sum_t (-1)^t e_{I<t} ^ d e_{i_t} ^ e_{I>t},
+    with d e^k = -sum_{i<j} c^k_{ij} e^{ij} read through c() and each
+    position a pair of wedges."""
+    n = algebra.n
+    d_basis = [Form(n, {(i, j): -algebra.c(i, j, k)
+                        for i, j in combinations(range(1, n + 1), 2)})
+               for k in range(1, n + 1)]
+    out = Form.zero(n)
+    for idx, coeff in form.coeffs.items():
+        for t, i in enumerate(idx):
+            sign = -1 if t % 2 else 1
+            prefix = Form(n, {idx[:t]: sign * coeff})
+            suffix = Form(n, {idx[t + 1:]: 1})
+            out = out + prefix.wedge(d_basis[i - 1]).wedge(suffix)
+    return out
+
+
 def reference_quadric_member(b, mu):
     """Fraction search for (A, B, C, D) with A + D = b + 2mu/7 and
     (A - D)^2 + 4B^2 + 4C^2 = 2mu^2 - (A + D)^2, or None."""
