@@ -80,8 +80,8 @@ def _basis_actions():
     psis = reference_spinors()
     table = {}
     for idx in IDX3:
-        word = rep.word(idx)
-        table[idx] = [linalg.matvec(word, list(p)) for p in psis]
+        form = Form.basis(7, *idx)
+        table[idx] = [rep.act(form, p) for p in psis]
     return table
 
 

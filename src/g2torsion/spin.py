@@ -5,6 +5,13 @@ octonions, using the same seven antisymmetric triples that define the
 calibration 3-form in :mod:`g2torsion.g2`.  All entries are 0 or +-1, so the
 representation is exact over the integers.
 
+A form acts on one spinor (:meth:`CliffordRep.act`) by applying the gammas
+to it, one sparse matvec per gamma, with no matrix built.  The Clifford
+relations are checked the same way, on the basis spinors.  Matrices of forms
+(:meth:`CliffordRep.operator`, products of :meth:`CliffordRep.word`) are built
+only where a matrix is the object: spectra, parallel spinors, the spinor
+integrability residual and the spinor-annihilator kernel dimensions.
+
 Sign conventions are checked by a spectral normalization: the operator of the
 calibration 3-form acting on spinors must have spectrum {-7 (x1), +1 (x7)}.
 The one-dimensional eigenspace for -7 is spanned by the distinguished spinor
@@ -70,18 +77,19 @@ def _build_gammas(triples):
 
 
 def _clifford_relations_hold(gammas):
+    """gamma_i gamma_j + gamma_j gamma_i = -2 delta_ij, checked on each basis
+    spinor by applying the gammas to it, with no matrix product."""
     n = len(gammas)
-    ident = linalg.identity(DIM_SPINOR)
-    for i in range(n):
-        sq = linalg.matmul(gammas[i], gammas[i])
-        if sq != linalg.mat_scale(frac(-1), ident):
-            return False
-        for j in range(i + 1, n):
-            anti = linalg.mat_add(
-                linalg.matmul(gammas[i], gammas[j]), linalg.matmul(gammas[j], gammas[i])
-            )
-            if any(any(x != 0 for x in row) for row in anti):
-                return False
+    for b in range(DIM_SPINOR):
+        e = [ONE if k == b else ZERO for k in range(DIM_SPINOR)]
+        once = [linalg.matvec(g, e) for g in gammas]
+        for i in range(n):
+            for j in range(i, n):
+                anti = [x + y for x, y in zip(linalg.matvec(gammas[i], once[j]),
+                                              linalg.matvec(gammas[j], once[i]))]
+                want = [-2 * x for x in e] if i == j else [ZERO] * DIM_SPINOR
+                if anti != want:
+                    return False
     return True
 
 
@@ -125,7 +133,16 @@ class CliffordRep:
         return acc
 
     def act(self, form, spinor):
-        return linalg.matvec(self.operator(form), spinor)
+        """A form acting on a spinor by Clifford multiplication, with no
+        matrix built: each monomial c e_I adds c gamma_{i1}(...(gamma_{ik} psi)),
+        one sparse matvec per gamma, last index first."""
+        acc = [ZERO] * DIM_SPINOR
+        for idx, c in form.coeffs.items():
+            v = spinor
+            for i in reversed(idx):
+                v = linalg.matvec(self.gammas[i - 1], v)
+            acc = [a + c * x for a, x in zip(acc, v)]
+        return acc
 
     # ---------------- spectra ----------------
 

@@ -1,20 +1,24 @@
 """Clifford representation on the 8-dimensional real spinor space.
 
 Oracles: the defining relations e_i e_j + e_j e_i = -2 delta_ij, checked
-directly on the generator matrices, and the classical operator identity
-T.T = |T|^2 - 2 sigma_T for 3-forms, checked as matrices.
+directly on the generator matrices, the classical operator identity
+T.T = |T|^2 - 2 sigma_T for 3-forms, checked as matrices, and the dense
+operator matrix times the spinor for the matrix-free action.
 """
 
 from fractions import Fraction
 
 from hypothesis import given
+from hypothesis import strategies as st
 
 from g2torsion import linalg
 from g2torsion.forms import Form
-from g2torsion.spin import DIM_SPINOR, standard_rep
+from g2torsion.spin import (
+    DIM_SPINOR, OCTONION_TRIPLES, _build_gammas, _clifford_relations_hold, standard_rep,
+)
 from g2torsion.g2 import standard_omega3
 
-from .util import forms, mat_sub
+from .util import dense_matvec, forms, mat_sub, vectors
 
 rep = standard_rep()
 
@@ -28,6 +32,22 @@ def test_generators_satisfy_clifford_relations():
             anti = linalg.mat_add(linalg.matmul(gi, gj), linalg.matmul(gj, gi))
             want = linalg.mat_scale(Fraction(-2 if i == j else 0), ident)
             assert anti == want
+
+
+def test_relations_check_accepts_the_octonion_table():
+    assert _clifford_relations_hold(_build_gammas(OCTONION_TRIPLES))
+
+
+def test_relations_check_rejects_each_single_sign_flip():
+    for triple in OCTONION_TRIPLES:
+        flipped = dict(OCTONION_TRIPLES)
+        flipped[triple] = -flipped[triple]
+        assert not _clifford_relations_hold(_build_gammas(flipped)), triple
+
+
+def test_relations_check_rejects_a_dropped_triple():
+    dropped = {t: c for t, c in OCTONION_TRIPLES.items() if t != (1, 2, 7)}
+    assert not _clifford_relations_hold(_build_gammas(dropped))
 
 
 def test_generators_are_skew():
@@ -63,6 +83,19 @@ def test_word_matches_operator_on_basis_forms():
     for idx in ((1, 2), (2, 5, 7), (1, 3, 5, 7)):
         form = Form.basis(7, *idx)
         assert rep.operator(form) == rep.word(idx)
+
+
+@given(st.integers(0, 4).flatmap(lambda k: forms(7, k)), vectors(8))
+def test_act_matches_dense_operator_times_spinor(form, psi):
+    assert rep.act(form, psi) == dense_matvec(rep.operator(form), psi)
+
+
+def test_basis_actions_match_dense_words():
+    from g2torsion.classifier import IDX3, _basis_actions, reference_spinors
+
+    want = {idx: [dense_matvec(rep.word(idx), list(p)) for p in reference_spinors()]
+            for idx in IDX3}
+    assert _basis_actions() == want
 
 
 @given(forms(7, 3))
