@@ -5,13 +5,15 @@ For a batch of random rational eigentriples (m1, m2, m3), solve the exact
 affine system for 27-component torsions with Sigma Psi_i = m_i Psi_i and
 tabulate the family dimension and its invariants a, b, c.  Then enumerate
 the admissible root assignments at a given scale mu and print the induced
-torsion values with their fiber sizes.
+torsion values with their fiber sizes.  Exits 1 when a surveyed family is
+not 9-dimensional or differs from the closed-form family.
 
 Usage: python3 scripts/eigen_family_survey.py [--count 12] [--mu 7] [--seed 1]
 """
 
 import argparse
 import random
+import sys
 from fractions import Fraction
 
 from g2torsion import classifier as cl
@@ -30,6 +32,7 @@ def main():
 
     rng = random.Random(args.seed)
     print(f"{'m1':>8} {'m2':>8} {'m3':>8} | {'dim':>3} {'a':>8} {'b':>8} {'c':>3} match")
+    failed = 0
     for _ in range(args.count):
         m = cl.EigenTriple.of(*(rand_fraction(rng) for _ in range(3)))
         fam = cl.solve_family(m)
@@ -37,6 +40,7 @@ def main():
         print(f"{str(m.m1):>8} {str(m.m2):>8} {str(m.m3):>8} | "
               f"{fam.dimension:>3} {str(fam.a):>8} {str(fam.b):>8} "
               f"{str(fam.c):>3} {match}")
+        failed += fam.dimension != 9 or not match
 
     mu = args.mu
     print(f"\nadmissible roots at mu = {mu}: "
@@ -49,6 +53,9 @@ def main():
     print("fibers:", {str(k): v for k, v in sorted(fibers.items())})
     print("kernel dimension chain (k = 1..4):",
           list(cl.kernel_dims().values()))
+    if failed:
+        sys.exit(f"{failed} of {args.count} families are not 9-dimensional "
+                 "or differ from the closed form")
 
 
 if __name__ == "__main__":

@@ -59,27 +59,30 @@ def kahler_coframe(sol: LiouvilleSolution) -> CoframeField:
                          f"chart keeps a margin of {MARGIN!r} from each end, "
                          f"so x1 - x0 must exceed {2 * MARGIN!r}")
 
-    def frame(p):
-        x, y = p[..., 0], p[..., 1]
-        s = np.sqrt(x)
-        w = libm(math.exp, 0.5 * sol.u(x))
-        a = np.zeros(p.shape[:-1] + (4, 4))
-        a[..., 0, 0] = w * s
-        a[..., 1, 1] = w * s
-        a[..., 2, 2] = s
-        a[..., 3, 2] = y / s
-        a[..., 3, 3] = 1.0 / s
-        j = np.zeros(p.shape[:-1] + (4, 4, 4))
-        dws = w * (0.5 * sol.du(x) * s + 0.5 / s)       # d(e^{u/2} sqrt x)/dx
-        j[..., 0, 0, 0] = dws
-        j[..., 1, 1, 0] = dws
-        j[..., 2, 2, 0] = 0.5 / s
-        j[..., 3, 2, 0] = -0.5 * y / (x * s)
-        j[..., 3, 2, 1] = 1.0 / s
-        j[..., 3, 3, 0] = -0.5 / (x * s)
-        return a, j
+    return CoframeField(4, (xs, BOX, BOX, BOX),
+                        lambda p: _kahler_frame(sol, p, sol.u(p[..., 0])))
 
-    return CoframeField(4, (xs, BOX, BOX, BOX), frame)
+
+def _kahler_frame(sol: LiouvilleSolution, p, u):
+    """A and J of kahler_coframe(sol) at points p, given u = sol.u(x) there."""
+    x, y = p[..., 0], p[..., 1]
+    s = np.sqrt(x)
+    w = libm(math.exp, 0.5 * u)
+    a = np.zeros(p.shape[:-1] + (4, 4))
+    a[..., 0, 0] = w * s
+    a[..., 1, 1] = w * s
+    a[..., 2, 2] = s
+    a[..., 3, 2] = y / s
+    a[..., 3, 3] = 1.0 / s
+    j = np.zeros(p.shape[:-1] + (4, 4, 4))
+    dws = w * (0.5 * sol.du(x) * s + 0.5 / s)       # d(e^{u/2} sqrt x)/dx
+    j[..., 0, 0, 0] = dws
+    j[..., 1, 1, 0] = dws
+    j[..., 2, 2, 0] = 0.5 / s
+    j[..., 3, 2, 0] = -0.5 * y / (x * s)
+    j[..., 3, 2, 1] = 1.0 / s
+    j[..., 3, 3, 0] = -0.5 / (x * s)
+    return a, j
 
 
 def kahler_ricci_eigenvalues(cf: CoframeField, points) -> np.ndarray:
@@ -209,14 +212,15 @@ def assemble_N5(sol: LiouvilleSolution) -> BundleData:
 
     def frame5(p):
         x = p[..., 0]
-        base_a, base_j = base.frame(p[..., :4])
+        u = sol.u(x)
+        base_a, base_j = _kahler_frame(sol, p[..., :4], u)
         m = np.zeros(p.shape[:-1] + (5, 5))
         m[..., :4, :4] = base_a
         m[..., 4, 4] = 1.0
         m[..., 4, 1] = potential(x)
         j = np.zeros(p.shape[:-1] + (5, 5, 5))
         j[..., :4, :4, :4] = base_j
-        j[..., 4, 1, 0] = 2.0 * a * x * libm(math.exp, sol.u(x))
+        j[..., 4, 1, 0] = 2.0 * a * x * libm(math.exp, u)
         return m, j
 
     total = CoframeField(5, base.domain + (BOX,), frame5)

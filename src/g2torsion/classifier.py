@@ -10,7 +10,12 @@ This module solves, exactly over Q:
 
 * the affine family of Sigma in Lambda^3_27 with Sigma . Psi_i = m_i Psi_i
   (dimension 9 for every rational eigentriple), together with its closed-form
-  parameterization and the derived invariants a, b, c;
+  parameterization and the derived invariants a, b, c.  The system's matrix
+  does not depend on the triple and its right-hand side is linear in it, so
+  the system is eliminated once per process with one right-hand-side column
+  per m_i, and each family is combined from the reduced columns: the same
+  Fractions as an elimination at that triple, because the reduced row
+  echelon form is unique;
 * kernel dimensions of the spinor-annihilation conditions (27, 14, 9 for
   one, three, four spinors);
 * the quadratic equation m^2 + (2/7) mu m = (48/49) mu^2 for the
@@ -151,36 +156,67 @@ def _invariant_abc(form):
     return a, b, c
 
 
-def solve_family(m, extra_rows=None, extra_rhs=None):
-    """Exact affine solve of the eigen-torsion system for a given triple.
+def _eigen_system():
+    """Rows and right-hand-side columns of the eigen-torsion system.
 
-    Unknowns: the 35 coefficients of a 3-form Sigma.  Equations: Sigma lies
-    in the 27-dimensional component (8 rows) and Sigma . Psi_i = m_i Psi_i
-    for i = 1, 2, 3 (24 rows).  Extra rows extend the system (used for the
-    two-field analysis).
+    Unknowns: the 35 coefficients of a 3-form Sigma.  Rows: Sigma lies in
+    the 27-dimensional component (8 rows) and Sigma . Psi_i = m_i Psi_i for
+    i = 1, 2, 3 (24 rows).  Column i is the right-hand side at m_i = 1 and
+    the other two m_j = 0: Psi_i on the 8 rows of Psi_i, 0 elsewhere.
     """
     actions = _basis_actions()
     psis = reference_spinors()
     rows = [list(r) for r in lambda1_7_rows()]
-    rhs = [ZERO] * len(rows)
+    columns = [[ZERO] * (len(rows) + 24) for _ in range(3)]
     for i in (1, 2, 3):
         for comp in range(8):
+            columns[i - 1][len(rows)] = psis[i][comp]
             rows.append([actions[idx][i][comp] for idx in IDX3])
-            rhs.append(m.values[i - 1] * psis[i][comp])
-    if extra_rows:
-        rows.extend([list(r) for r in extra_rows])
-        rhs.extend(list(extra_rhs))
-    x0, kernel = linalg.solve_affine(rows, rhs)
+    return rows, columns
+
+
+def _eliminated(rows, columns):
+    """eliminate(rows, columns) with the kernel of the rows as Forms.
+
+    The invariants a, b, c vanish on every kernel direction, so they are
+    constant across each family of the system; checked here, once.
+    """
+    elimination = linalg.eliminate(rows, columns)
+    directions = tuple(vector_to_form(7, v, IDX3) for v in linalg.kernel(*elimination))
+    for d in directions:
+        if _invariant_abc(d) != (ZERO, ZERO, ZERO):
+            raise AssertionError("a, b, c are not constant across the family")
+    return elimination, directions
+
+
+@lru_cache(maxsize=1)
+def _lemma_system():
+    return _eliminated(*_eigen_system())
+
+
+def _family(m, system, weights):
+    """The family of a system from _eliminated whose right-hand side is
+    sum_i weights[i] * column i."""
+    elimination, directions = system
+    x0 = linalg.particular(elimination, weights)
     if x0 is None:
         return Torsion27Family(m, -1, None, (), None, None, None)
     particular = vector_to_form(7, x0, IDX3)
-    directions = tuple(vector_to_form(7, v, IDX3) for v in kernel)
-    a, b, c = _invariant_abc(particular)
-    for d in directions:
-        da, db, dc = _invariant_abc(d)
-        if (da, db, dc) != (ZERO, ZERO, ZERO):
-            raise AssertionError("a, b, c are not constant across the family")
-    return Torsion27Family(m, len(kernel), particular, directions, a, b, c)
+    return Torsion27Family(m, len(directions), particular, directions,
+                           *_invariant_abc(particular))
+
+
+def solve_family(m):
+    """Exact affine solve of the eigen-torsion system for a given triple.
+
+    The coefficient matrix does not depend on m, and the right-hand side is
+    linear in (m_1, m_2, m_3): the system with one right-hand-side column
+    per m_i (see _eigen_system) is eliminated once per process, and each
+    call combines the reduced columns with weights m.  The result is the
+    same Fractions as an elimination of the system at m, because the
+    reduced row echelon form is unique (linalg.particular).
+    """
+    return _family(m, _lemma_system(), m.values)
 
 
 #: order of the nine free coefficients in the closed-form parameterization
@@ -486,20 +522,27 @@ def two_field_branches(mu):
     return first, second
 
 
+@lru_cache(maxsize=1)
+def _two_field_system():
+    """The eigen system plus theta_1 hook (T_1 + Sigma) = theta_2 hook
+    (T_1 + Sigma) = 0 for T_1 = (mu/7) omega3, eliminated once.  Those rows
+    have right-hand side -theta_slot hook T_1, linear in mu/7: a fourth
+    column, -theta_slot hook omega3, zero on the eigen rows."""
+    rows, columns = _eigen_system()
+    idx2 = basis_indices(7, 2)
+    hook_rows, hook_rhs = [], []
+    for slot in (1, 2):
+        hook_rows.extend(_hook_constraint_rows(slot))
+        hook_rhs.extend(form_to_vector(standard_omega3().hook_basis(slot).scale(-1), idx2))
+    pad = [ZERO] * len(hook_rows)
+    columns = [c + pad for c in columns] + [[ZERO] * len(rows) + hook_rhs]
+    return _eliminated(rows + hook_rows, columns)
+
+
 def solve_two_field_branch(m, mu, label):
     """Affine solve of the eigen system plus theta_1, theta_2 hook conditions."""
     mu = frac(mu)
-    t1 = standard_omega3().scale(mu / 7)
-    idx2 = basis_indices(7, 2)
-    extra_rows = []
-    extra_rhs = []
-    for slot in (1, 2):
-        rows = _hook_constraint_rows(slot)
-        rhs_form = t1.hook_basis(slot).scale(-1)
-        rhs = form_to_vector(rhs_form, idx2)
-        extra_rows.extend(rows)
-        extra_rhs.extend(rhs)
-    family = solve_family(m, extra_rows, extra_rhs)
+    family = _family(m, _two_field_system(), m.values + (mu / 7,))
     return TwoFieldBranch(label, m, m.a(), m.b(), family)
 
 

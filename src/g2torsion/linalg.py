@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain lists of lists of fractions.Fraction.  The
-matrices involved are small (at most ~60 x 36).  The reduced row echelon form,
-which answers every rank, kernel, affine-solve and span question, is computed
-fraction-free on Python ints and converted to Fractions once at the end;
-`det` and `charpoly` work in Fraction arithmetic.
+matrices involved are small (tens of rows and columns).  The reduced row
+echelon form, which answers every rank, kernel, affine-solve and span
+question, is computed fraction-free on Python ints and converted to
+Fractions once at the end; `det` and `charpoly` work in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def det(m):
     return out
 
 
-def _kernel(r, pivots, cols):
+def kernel(r, pivots, cols):
     """Kernel basis of the first `cols` columns of a reduced form, one vector
     per free column (deterministic)."""
     basis = []
@@ -215,7 +215,40 @@ def _kernel(r, pivots, cols):
 
 def nullspace(m):
     """Basis of the right kernel, one vector per free column (deterministic)."""
-    return _kernel(*rref(m), len(m[0]) if m else 0)
+    return kernel(*rref(m), len(m[0]) if m else 0)
+
+
+def eliminate(a, columns):
+    """One elimination for A x = b with b anywhere in the span of `columns`.
+
+    Reduces [A | b_1 .. b_k] and returns (R, pivots of A, number of columns
+    of A), the form that `particular` reads and `kernel` takes.  Rows of R
+    past the rank of A are zero on A's columns.
+    """
+    cols = len(a[0]) if a else 0
+    r, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, zip(*columns))])
+    return r, [pc for pc in pivots if pc < cols], cols
+
+
+def particular(elimination, weights):
+    """The solution of A x = sum_i w_i b_i whose free coordinates are 0, or
+    None when that system is inconsistent, read from eliminate(A, [b_i]).
+
+    Rows of R up to the rank of A combine to the values at their pivots;
+    rows past it must combine to 0.  Where the b_i add pivots of their own,
+    R has subtracted multiples of those later rows from the earlier ones,
+    and they combine to 0 whenever the system is consistent.  So x0 is the
+    last column of rref([A | sum_i w_i b_i]), Fraction for Fraction, since
+    the reduced row echelon form is unique.
+    """
+    r, pivots, cols = elimination
+    values = [sum((w * x for w, x in zip(weights, row[cols:]) if x), ZERO) for row in r]
+    if any(values[len(pivots):]):
+        return None
+    x0 = [ZERO] * cols
+    for pc, v in zip(pivots, values):
+        x0[pc] = v
+    return x0
 
 
 def solve_affine(a, b):
@@ -223,14 +256,11 @@ def solve_affine(a, b):
 
     Returns (x0, kernel_basis); x0 is None when the system is inconsistent.
     """
-    cols = len(a[0]) if a else 0
-    r, pivots = rref([list(row) + [x] for row, x in zip(a, b)])
-    if cols in pivots:
+    elimination = eliminate(a, [b])
+    x0 = particular(elimination, [ONE])
+    if x0 is None:
         return None, []
-    x0 = [ZERO] * cols
-    for i, pc in enumerate(pivots):
-        x0[pc] = r[i][cols]
-    return x0, _kernel(r, pivots, cols)
+    return x0, kernel(*elimination)
 
 
 def charpoly(a):

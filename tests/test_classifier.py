@@ -8,6 +8,8 @@ forms on small rational grids.
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import given, settings
 
 from g2torsion import classifier as cl
 from g2torsion import linalg
-from g2torsion.forms import Form
-from g2torsion.g2 import standard_omega3
+from g2torsion.forms import Form, basis_indices, form_to_vector
+from g2torsion.g2 import lambda1_7_rows, standard_omega3
 
 from .util import (nonzero_fractions, reference_kernel_dims, reference_quadric_member,
                    reference_rref, small_fractions)
@@ -91,12 +93,129 @@ def test_eigen_system_rref_matches_fraction_gauss_jordan(monkeypatch):
         seen.append(m)
         return real(m)
 
+    # the system is eliminated once per process: drop the cached elimination
+    # so that this call runs it again
+    cl._lemma_system.cache_clear()
     monkeypatch.setattr(linalg, "rref", recording)
     cl.solve_family(cl.EigenTriple.of(2, Fraction(-1, 3), 5))
     monkeypatch.undo()
     assert seen
     for m in seen:
         assert linalg.rref(m) == reference_rref(m)
+
+
+@lru_cache(maxsize=2)
+def assembled_rows(hooks):
+    """Coefficient rows of the eigen system, from the spinor action on each
+    basis 3-form; with hooks, plus the rows of theta_slot hook Sigma for
+    slots 1, 2 over the 2-form indices."""
+    from g2torsion.spin import standard_rep
+
+    rep = standard_rep()
+    idx3, idx2 = cl.IDX3, basis_indices(7, 2)
+    rows = [list(r) for r in lambda1_7_rows()]
+    for psi in cl.reference_spinors()[1:]:
+        acted = [rep.act(Form.basis(7, *idx), psi) for idx in idx3]
+        rows.extend([col[comp] for col in acted] for comp in range(8))
+    if hooks:
+        for slot in (1, 2):
+            cols = [form_to_vector(Form.basis(7, *idx).hook_basis(slot), idx2) for idx in idx3]
+            rows.extend(linalg.transpose(cols))
+    return rows
+
+
+def assembled_family(m, mu=None):
+    """(dimension, particular, directions, (a, b, c)) of the eigen system at
+    m, assembled whole with its right-hand side and solved by one
+    solve_affine; with mu, plus theta_slot hook (T_1 + Sigma) = 0 for slots
+    1, 2 and T_1 = (mu/7) omega3."""
+    rhs = [Fraction(0)] * len(lambda1_7_rows())
+    for i in (1, 2, 3):
+        rhs.extend(m.values[i - 1] * x for x in cl.reference_spinors()[i])
+    if mu is not None:
+        t1 = standard_omega3().scale(Fraction(mu) / 7)
+        for slot in (1, 2):
+            rhs.extend(form_to_vector(t1.hook_basis(slot).scale(-1), basis_indices(7, 2)))
+    x0, kernel = linalg.solve_affine(assembled_rows(mu is not None), rhs)
+    if x0 is None:
+        return -1, None, [], None
+    x = dict(zip(cl.IDX3, x0))
+    abc = (x[(2, 3, 6)] + x[(2, 4, 5)], x[(3, 4, 7)] + x[(5, 6, 7)],
+           x[(2, 3, 5)] - x[(2, 4, 6)])
+    return len(kernel), x0, kernel, abc
+
+
+def family_parts(fam):
+    """The parts of a solved family that assembled_family returns."""
+    if fam.is_empty():
+        return -1, None, [], None
+    return (fam.dimension, form_to_vector(fam.particular, cl.IDX3),
+            [form_to_vector(d, cl.IDX3) for d in fam.directions], (fam.a, fam.b, fam.c))
+
+
+def seeded_eigen_triples():
+    """210 triples: zero, repeated values, admissible root assignments at
+    several mu, numerators near 10^6 and seeded small fractions."""
+    rng = random.Random(23)
+    triples = [(0, 0, 0)]
+    for q in (Fraction(1), Fraction(-5, 3), Fraction(7, 2)):
+        triples += [(q, q, q), (q, q, 0), (0, q, q), (q, -q, q)]
+    for mu in (Fraction(7), Fraction(-7), Fraction(1), Fraction(7, 3), Fraction(0)):
+        triples += list(product(cl.root_pair(mu), repeat=3))
+    big = 10**6
+    for _ in range(40):
+        triples.append(tuple(Fraction(big + rng.randint(-50, 50) * rng.choice((1, -1)),
+                                      rng.choice((1, 3, 7, 11)))
+                             * rng.choice((1, -1)) for _ in range(3)))
+    while len(triples) < 210:
+        triples.append(tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                             for _ in range(3)))
+    return [cl.EigenTriple.of(*t) for t in triples]
+
+
+def test_solve_family_equals_an_elimination_of_the_assembled_system():
+    """Each family read from the once-eliminated system is the solve of the
+    system assembled whole at m, Fraction for Fraction."""
+    triples = seeded_eigen_triples()
+    assert len(triples) >= 200
+    for m in triples:
+        got = family_parts(cl.solve_family(m))
+        assert got == assembled_family(m), m
+        assert got[0] == 9
+
+
+@pytest.mark.parametrize("mu", [Fraction(7), Fraction(-7), Fraction(3, 2),
+                                Fraction(-22, 5), Fraction(0)])
+def test_two_field_branches_equal_an_elimination_of_the_assembled_system(mu):
+    for label, m in zip(("first", "second"), cl.two_field_branches(mu)):
+        got = family_parts(cl.solve_two_field_branch(m, mu, label).family)
+        assert got == assembled_family(m, mu), (label, mu)
+    # off the branches the hook rows leave no solution either way
+    m = cl.EigenTriple.of(1, 2, 3)
+    got = family_parts(cl.solve_two_field_branch(m, mu, "off").family)
+    assert got == assembled_family(m, mu)
+    assert got[0] == -1
+
+
+def test_warm_solves_run_no_elimination(monkeypatch):
+    """After one call, solve_family and the two-field branches only combine
+    reduced columns."""
+    cl.solve_family(cl.EigenTriple.of(1, 2, 3))
+    cl.solve_two_field_branch(cl.EigenTriple.of(-8, 6, 6), 7, "first")
+    calls = []
+    real = linalg.rref
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for k in range(50):
+        cl.solve_family(cl.EigenTriple.of(k, Fraction(1, k + 2), -k))
+    for mu in (1, 7, Fraction(-3, 2)):
+        for m in cl.two_field_branches(mu):
+            cl.solve_two_field_branch(m, mu, "warm")
+    assert calls == []
 
 
 # ---------------------------------------------------------------- kernels

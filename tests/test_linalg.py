@@ -69,6 +69,49 @@ def test_solve_substitutes_back(m, rhs):
         assert kernel == linalg.nullspace(m)
 
 
+def reference_solution(a, b):
+    """x0 of A x = b with free coordinates 0, read off the reference rref of
+    [A | b]; None when b adds a pivot."""
+    cols = len(a[0])
+    r, pivots = reference_rref([row + [x] for row, x in zip(a, b)])
+    if cols in pivots:
+        return None
+    x0 = [F(0)] * cols
+    for i, pc in enumerate(pivots):
+        x0[pc] = r[i][cols]
+    return x0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_particular_reads_each_combination_of_one_elimination(seed):
+    """A x = sum_i w_i b_i read from one elimination of [A | b_1 b_2 b_3] is
+    the reference solve of [A | sum_i w_i b_i], also where b_1 adds a pivot
+    of its own and the weights cancel it: b_2 = b_1 + A y."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    cols = rng.randint(1, 6)
+    base = [[rational() for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+    a = [[sum((rng.randint(-2, 2) * x for x in col), F(0)) for col in zip(*base)]
+         for _ in range(rng.randint(len(base), 7))]
+    y, z = [rational() for _ in range(cols)], [rational() for _ in range(cols)]
+    b1 = [rational() for _ in a]
+    b2 = [p + q for p, q in zip(b1, linalg.matvec(a, y))]
+    b3 = linalg.matvec(a, z)
+    elimination = linalg.eliminate(a, [b1, b2, b3])
+    assert linalg.kernel(*elimination) == linalg.nullspace(a)
+    for w in [(0, 0, 1), (1, 0, 0), (1, -1, 0), (0, 1, 0), (2, -2, F(3, 5)), (0, 0, 0),
+              tuple(rational() for _ in range(3))]:
+        w = [F(x) for x in w]
+        rhs = [sum((wi * bi for wi, bi in zip(w, bs)), F(0)) for bs in zip(b1, b2, b3)]
+        got = linalg.particular(elimination, w)
+        assert got == reference_solution(a, rhs), w
+        if w[0] + w[1] == 0:            # rhs in the column space of A
+            assert got is not None and linalg.matvec(a, got) == rhs
+
+
 def assert_rref_matches_reference(m):
     r, pivots = linalg.rref(m)
     want, want_pivots = reference_rref(m)
