@@ -664,14 +664,12 @@ def omega_form_identities(torsion, mu):
     report["eta_squared_zero"] = eta.wedge(eta).is_zero()
     # kernel distribution of T inside the 5-frame
     report["kernel_dim"] = len(_torsion_kernel_vectors(torsion))
-    # Ricci eigenvalues on the 5-frame
+    # Ricci spectrum on the 5-frame
     ric = ric_from_torsion(torsion)
     five = [i - 1 for i in F_TO_E]
     ric5 = [[ric[i][j] for j in five] for i in five]
-    roots, split = linalg.eigenvalues_exact(ric5)
-    report["ric5_eigenvalues"] = dict(roots) if split else None
     expected = {ZERO: 2, mu * mu / 2: 3} if mu != 0 else {ZERO: 5}
-    report["ric5_matches"] = report["ric5_eigenvalues"] == expected
+    report["ric5_matches"] = linalg.has_spectrum(ric5, expected)
     return report
 
 

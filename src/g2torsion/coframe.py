@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import basis_indices, perm_sign, sort_index
+from .forms import basis_indices, sort_index
 
 Array = np.ndarray
 #: Sample points per Stencil in ``stencils``: memory stays flat for any count.
@@ -218,7 +218,7 @@ def skew_tensor(torsion: Array, n: int) -> Array:
     for idx, v in zip(basis_indices(n, 3), torsion):
         if v:
             for perm in permutations(idx):
-                t[tuple(i - 1 for i in perm)] = perm_sign(perm) * v
+                t[tuple(i - 1 for i in perm)] = sort_index(perm)[1] * v
     return t
 
 

@@ -43,11 +43,6 @@ def sort_index(idx):
     return tuple(idx), sign
 
 
-def perm_sign(seq):
-    """Sign of the permutation sorting seq (0 if repeated entries)."""
-    return sort_index(seq)[1]
-
-
 class Form:
     """Exact differential form with constant rational coefficients.
 

@@ -86,7 +86,6 @@ class TorsionDecomposition:
     torsion: Form         # full characteristic torsion T
     t1: Form              # scalar piece, (mu/7) omega3
     t27: Form             # traceless piece
-    d_omega3: Form
 
 
 def char_torsion(d_omega3, d_omega4=None):
@@ -107,4 +106,4 @@ def char_torsion(d_omega3, d_omega4=None):
     torsion = -d_omega3.hodge() + w3.scale(mu)
     t1 = w3.scale(mu / 7)
     t27 = torsion - t1
-    return TorsionDecomposition(mu=mu, torsion=torsion, t1=t1, t27=t27, d_omega3=d_omega3)
+    return TorsionDecomposition(mu=mu, torsion=torsion, t1=t1, t27=t27)

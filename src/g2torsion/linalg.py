@@ -18,9 +18,6 @@ ONE = Fraction(1)
 
 #: Largest decimal exponent in rational text: Fraction('1eN') builds 10**N.
 MAX_EXPONENT = 1000
-#: rational_roots gives up (not fully split) on a polynomial whose integer
-#: constant or leading coefficient exceeds this: it would list their divisors.
-DIVISOR_CAP = 10**9
 
 
 def parse_rational(text: str) -> Fraction:
@@ -277,78 +274,15 @@ def charpoly(a):
     return coeffs
 
 
-def poly_eval(coeffs, x):
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _synthetic_division(coeffs, r):
-    """Divide polynomial by (x - r).  Returns (quotient, remainder)."""
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + out[-1] * r)
-    return out[:-1], out[-1]
-
-
-def rational_roots(coeffs):
-    """All rational roots with multiplicity.
-
-    Returns (roots, fully_split) where roots is a list of (root, multiplicity)
-    and fully_split says whether the polynomial factors completely over Q.
-    """
-    work = list(coeffs)
-    roots = {}
-    # strip zero roots
-    while len(work) > 1 and work[-1] == 0:
-        roots[ZERO] = roots.get(ZERO, 0) + 1
-        work = work[:-1]
-    while len(work) > 1:
-        den = lcm(*(c.denominator for c in work))
-        iw = [int(c * den) for c in work]
-        a0, alead = iw[-1], iw[0]
-        if a0 == 0:
-            roots[ZERO] = roots.get(ZERO, 0) + 1
-            work, _ = _synthetic_division(work, ZERO)
-            continue
-        if abs(a0) > DIVISOR_CAP or abs(alead) > DIVISOR_CAP:
-            return sorted(roots.items()), False
-        found = None
-        for p in _divisors(a0):
-            for q in _divisors(alead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly_eval(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return sorted(roots.items()), False
-        roots[found] = roots.get(found, 0) + 1
-        work, rem = _synthetic_division(work, found)
-        assert rem == 0
-    return sorted(roots.items()), True
-
-
-def eigenvalues_exact(a):
-    """(list of (eigenvalue, algebraic multiplicity), fully_split flag)."""
-    return rational_roots(charpoly(a))
+def has_spectrum(a, spectrum):
+    """Do the eigenvalues of A, with algebraic multiplicity, form exactly
+    the {eigenvalue: multiplicity} mapping `spectrum`?  They do when
+    det(tI - A) equals the product of the factors (t - lam)^m."""
+    want = [ONE]
+    for lam, mult in spectrum.items():
+        for _ in range(mult):
+            want = [x - lam * y for x, y in zip(want + [ZERO], [ZERO] + want)]
+    return charpoly(a) == want
 
 
 def eigenspace(a, lam):

@@ -97,7 +97,6 @@ class G2Report:
     torsion: Form | None = None
     t1: Form | None = None
     t27: Form | None = None
-    d_omega3: Form | None = None
     norm2_torsion: Fraction | None = None
     norm2_d_omega3: Fraction | None = None
     ric_nabla: tuple | None = None
@@ -195,7 +194,6 @@ def run(algebra: LieAlgebraData, placement=None) -> G2Report:
     report.torsion = t
     report.t1 = dec.t1
     report.t27 = dec.t27
-    report.d_omega3 = dw3
     report.norm2_torsion = t.norm2()
     report.norm2_d_omega3 = dw3.norm2()
 

@@ -9,18 +9,18 @@ A form acts on one spinor (:meth:`CliffordRep.act`) by applying the gammas
 to it, one sparse matvec per gamma, with no matrix built.  The Clifford
 relations are checked the same way, on the basis spinors.  Matrices of forms
 (:meth:`CliffordRep.operator`, products of :meth:`CliffordRep.word`) are built
-only where a matrix is the object: spectra, parallel spinors, the spinor
-integrability residual and the spinor-annihilator kernel dimensions.
+only where a matrix is the object: the -7 eigenline and the selftest's
+spectrum check, parallel spinors, the spinor integrability residual and the
+spinor-annihilator kernel dimensions.
 
-Sign conventions are checked by a spectral normalization: the operator of the
-calibration 3-form acting on spinors must have spectrum {-7 (x1), +1 (x7)}.
-The one-dimensional eigenspace for -7 is spanned by the distinguished spinor
-returned by :func:`find_psi0`.
+Sign conventions are checked on construction: the operator of the
+calibration 3-form acting on spinors must have a one-dimensional eigenspace
+for -7, spanned by the distinguished spinor returned by :func:`find_psi0`.
+Its whole spectrum, {-7 (x1), +1 (x7)}, is checked by ``selftest``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -93,24 +93,19 @@ def _clifford_relations_hold(gammas):
     return True
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
-    value: Fraction
-    multiplicity: int
-
-
 class CliffordRep:
-    """Exact Cl(7) representation with a checked spectral normalization."""
+    """Exact Cl(7) representation with a checked -7 eigenline of the
+    calibration form."""
 
     def __init__(self):
         self.gammas = _build_gammas(OCTONION_TRIPLES)
         if not _clifford_relations_hold(self.gammas):
             raise RuntimeError("octonion triple table does not satisfy Clifford relations")
-        # the calibration 3-form operator must have spectrum {-7: 1, +1: 7}
+        # the calibration 3-form operator must have a -7 eigenline
         op = self.operator(Form(7, OCTONION_TRIPLES))
         line = linalg.eigenspace(op, frac(-7))
         if len(line) != 1:
-            raise RuntimeError("3-form operator spectrum is not {-7, +1^7}")
+            raise RuntimeError("3-form operator's -7 eigenspace is not a line")
         self.psi0 = _primitive(line[0])
 
     # ---------------- operators ----------------
@@ -143,19 +138,6 @@ class CliffordRep:
                 v = linalg.matvec(self.gammas[i - 1], v)
             acc = [a + c * x for a, x in zip(acc, v)]
         return acc
-
-    # ---------------- spectra ----------------
-
-    def spectrum(self, form):
-        """Exact eigenvalues with multiplicity of the operator of a form.
-
-        Raises RuntimeError when the characteristic polynomial does not split
-        over Q; it splits for every operator this package builds.
-        """
-        roots, split = linalg.eigenvalues_exact(self.operator(form))
-        if not split:
-            raise RuntimeError("characteristic polynomial does not split over Q")
-        return [Eigenvalue(lam, mult) for lam, mult in roots]
 
     def find_psi0(self):
         """The distinguished unit-direction spinor: it spans the -7

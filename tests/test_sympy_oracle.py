@@ -1,11 +1,12 @@
 """Exact linear algebra against sympy as an independent oracle.
 
-Characteristic polynomials, rational roots (with multiplicities and the
-split flag), kernels, affine solution sets and span tests are compared on
-seeded random small rational matrices.  sympy is a test-only dependency; without it the module skips.
+Characteristic polynomials, spectrum checks (against the linear factors
+of sympy's factorization over Q), kernels, affine solution sets and span
+tests are compared on seeded random small rational matrices.  sympy is a test-only dependency; without it the module skips.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,18 +35,43 @@ def to_fraction(q):
     return Fraction(int(q.p), int(q.q))
 
 
-def sympy_rational_roots(coeffs):
-    """(sorted [(root, multiplicity)], split) from sympy's factorization over Q."""
+def sympy_spectrum(coeffs):
+    """({root: multiplicity}, split) from sympy's factorization over Q."""
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
                       X, domain="QQ")
-    roots, split = [], True
+    roots, split = {}, True
     for factor, mult in poly.factor_list()[1]:
         if factor.degree() == 1:
             a, b = factor.all_coeffs()
-            roots.append((to_fraction(-b / a), mult))
+            roots[to_fraction(-b / a)] = mult
         else:
             split = False
-    return sorted(roots), split
+    return roots, split
+
+
+def wrong_spectra(spectrum):
+    """Spectra of the same total multiplicity that differ from `spectrum`:
+    each value shifted by 1/2, and one multiplicity moved from each value to
+    each other one.  Either changes the sum of the eigenvalues."""
+    for lam in spectrum:
+        shifted = Counter()
+        for v, m in spectrum.items():
+            shifted[v + Fraction(1, 2) if v == lam else v] += m
+        yield dict(shifted)
+        for other in spectrum:
+            if other != lam:
+                moved = Counter(spectrum)
+                moved[lam] -= 1
+                moved[other] += 1
+                yield {v: m for v, m in moved.items() if m}
+
+
+def companion(coeffs):
+    """Companion matrix of a monic polynomial [1, c1, ..., cn]: its
+    characteristic polynomial is that polynomial."""
+    n = len(coeffs) - 1
+    return [[Fraction(int(i == j + 1)) for j in range(n - 1)] + [-coeffs[n - i]]
+            for i in range(n)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -59,26 +85,39 @@ def test_charpoly_matches_sympy(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rational_roots_of_charpoly_match_sympy(seed):
+    """has_spectrum accepts the rational roots that sympy factors out of the
+    characteristic polynomial exactly when it splits over Q, and rejects
+    every wrong spectrum of the same size."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    coeffs = linalg.charpoly(random_matrix(rng, n, n))
-    assert linalg.rational_roots(coeffs) == sympy_rational_roots(coeffs)
+    m = random_matrix(rng, n, n)
+    spectrum, split = sympy_spectrum(linalg.charpoly(m))
+    assert linalg.has_spectrum(m, spectrum) == split
+    if split:
+        for wrong in wrong_spectra(spectrum):
+            assert not linalg.has_spectrum(m, wrong), wrong
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rational_roots_of_built_polynomials_match_sympy(seed):
-    """Products of chosen linear factors (repeats allowed), sometimes times
-    x^2 + 1 or x^2 - 2, so both split and non-split cases occur."""
+    """has_spectrum on companion matrices of products of chosen linear
+    factors (repeats allowed), sometimes times x^2 + 1 or x^2 - 2, so both
+    split and non-split cases occur; no spectrum over Q matches a non-split
+    one."""
     rng = random.Random(seed)
-    poly = sympy.Poly(rng.randint(1, 4), X, domain="QQ")
-    for _ in range(rng.randint(0, 4)):
+    poly = sympy.Poly(1, X, domain="QQ")
+    for _ in range(rng.randint(1, 4)):
         r = sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4))
         poly *= sympy.Poly(X - r, X, domain="QQ")
     extra = rng.choice([None, X**2 + 1, X**2 - 2])
     if extra is not None:
         poly *= sympy.Poly(extra, X, domain="QQ")
-    coeffs = [to_fraction(c) for c in poly.all_coeffs()]
-    assert linalg.rational_roots(coeffs) == sympy_rational_roots(coeffs)
+    m = companion([to_fraction(c) for c in poly.all_coeffs()])
+    spectrum, split = sympy_spectrum(linalg.charpoly(m))
+    assert split == (extra is None)
+    assert linalg.has_spectrum(m, spectrum) == split
+    for wrong in wrong_spectra(spectrum):
+        assert not linalg.has_spectrum(m, wrong), wrong
 
 
 @pytest.mark.parametrize("seed", SEEDS)

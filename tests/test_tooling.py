@@ -5,8 +5,9 @@ a name that no longer resolves would only fail the benchmark run, so it is
 checked here.  The scripts under ``scripts/`` are run once with small
 arguments.  Every function and class of the package must have a caller in
 the package or the scripts, or be public or traced: code only tests call
-belongs in ``tests/util.py``.  Likewise every defaulted parameter must be
-passed by some call in the package or the scripts, and no module imports a
+belongs in ``tests/util.py``, and the definitions only the tracer calls are
+pinned.  Likewise every defaulted parameter and dataclass field must be
+set by some code in the package or the scripts, and no module imports a
 name it never uses.
 """
 
@@ -49,15 +50,16 @@ def _names(node):
             yield sub.attr
 
 
-def uncalled_definitions():
+def uncalled_definitions(traced_exempt=True):
     """(file, name) of each def/class in src/g2torsion named nowhere in the
     package outside its own body nor in scripts/, and neither in
-    g2torsion.__all__ nor in the tracer's attribute paths.  Dunders are
-    exempt: the language calls them."""
+    g2torsion.__all__ nor (when traced_exempt) in the tracer's attribute
+    paths.  Dunders are exempt: the language calls them."""
     import g2torsion
 
     exempt = set(g2torsion.__all__)
-    exempt.update(part for _, _, path in traced_names() for part in path.split("."))
+    if traced_exempt:
+        exempt.update(part for _, _, path in traced_names() for part in path.split("."))
     used = Counter()
     for script in sorted((ROOT / "scripts").glob("*.py")):
         used.update(_names(ast.parse(script.read_text())))
@@ -80,6 +82,20 @@ def uncalled_definitions():
 
 def test_every_definition_has_a_caller_outside_tests():
     assert uncalled_definitions() == []
+
+
+#: Definitions that only the benchmark's tracer names outside tests, each kept
+#: until the tracer stops naming it (ROADMAP item 1).  A traced function left
+#: without its caller, or new code only the tracer reaches, fails the pin.
+TRACER_ONLY = {
+    ("coframe.py", "numeric_d"),
+    ("coframe.py", "structure_functions"),
+    ("linalg.py", "rank"),
+}
+
+
+def test_tracer_only_definitions_are_pinned():
+    assert set(uncalled_definitions(traced_exempt=False)) == TRACER_ONLY
 
 
 #: Defaulted parameters that no call in src/ or scripts/ passes, kept on purpose.
@@ -123,38 +139,115 @@ def _defaulted_parameters(tree):
     return out
 
 
-def unpassed_defaults():
-    """(file, callee, parameter) of each defaulted parameter of a def in
-    src/g2torsion that no call in the package or scripts/ passes, by keyword
-    (or **mapping) or by position (or *args), except UNPASSED_DEFAULTS: a
-    default nothing overrides is a constant."""
+def _package_and_script_trees():
+    return [ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "g2torsion").glob("*.py"))
+            + sorted((ROOT / "scripts").glob("*.py"))]
+
+
+def _passed(calls, callee, param, index):
+    """Does some call of `callee` pass `param`, by keyword (or **mapping) or
+    by position (or *args)?"""
+    for call in calls.get(callee, ()):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if index is not None and (len(call.args) > index or any(
+                isinstance(a, ast.Starred) for a in call.args)):
+            return True
+    return False
+
+
+def _calls():
     calls = {}
-    for path in sorted((ROOT / "src" / "g2torsion").glob("*.py")) + sorted(
-            (ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _package_and_script_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
 
-    def passed(callee, param, index):
-        for call in calls.get(callee, ()):
-            if any(k.arg in (param, None) for k in call.keywords):
-                return True
-            if index is not None and (len(call.args) > index or any(
-                    isinstance(a, ast.Starred) for a in call.args)):
-                return True
-        return False
 
+def unpassed_defaults():
+    """(file, callee, parameter) of each defaulted parameter of a def in
+    src/g2torsion that no call in the package or scripts/ passes, except
+    UNPASSED_DEFAULTS: a default nothing overrides is a constant."""
+    calls = _calls()
     return [(path.name, callee, param)
             for path in sorted((ROOT / "src" / "g2torsion").glob("*.py"))
             for callee, param, index in _defaulted_parameters(ast.parse(path.read_text()))
             if (callee, param) not in UNPASSED_DEFAULTS
-            and not passed(callee, param, index)]
+            and not _passed(calls, callee, param, index)]
 
 
 def test_every_default_is_overridden_outside_tests():
     assert unpassed_defaults() == []
+
+
+def _defaulted_fields(tree):
+    """(class name, field, positional index) of each dataclass field with a
+    default; a default_factory container starts empty and is exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+        for index, stmt in enumerate(fields):
+            value = stmt.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                keys = {k.arg for k in value.keywords}
+                if "default_factory" in keys or "default" not in keys:
+                    continue
+            elif value is None:
+                continue
+            out.append((node.name, stmt.target.id, index))
+    return out
+
+
+#: Defaulted dataclass fields that nothing in src/ or scripts/ sets, kept on purpose.
+UNSET_FIELDS = {
+    ("CoframeField", "h"): "the finite-difference step tests coarsen to measure "
+                           "convergence order; only tests set it",
+}
+
+
+def _attribute_stores():
+    """Attributes the package or scripts/ assign: (class, name) for
+    self.name in a method of that class, (None, name) for obj.name."""
+    out = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+                out.add((cls if getattr(child.value, "id", None) == "self" else None,
+                         child.attr))
+            visit(child, cls)
+
+    for tree in _package_and_script_trees():
+        visit(tree, None)
+    return out
+
+
+def unset_fields():
+    """(file, class, field) of each defaulted dataclass field in src/g2torsion
+    that no call of its class in the package or scripts/ passes and no
+    statement there assigns (as obj.field, or self.field in the class
+    itself), except UNSET_FIELDS."""
+    calls, stores = _calls(), _attribute_stores()
+    return [(path.name, cls, name)
+            for path in sorted((ROOT / "src" / "g2torsion").glob("*.py"))
+            for cls, name, index in _defaulted_fields(ast.parse(path.read_text()))
+            if (cls, name) not in UNSET_FIELDS
+            and not stores & {(cls, name), (None, name)}
+            and not _passed(calls, cls, name, index)]
+
+
+def test_every_dataclass_default_is_set_outside_tests():
+    assert unset_fields() == []
 
 
 def unused_imports():
