@@ -81,17 +81,6 @@ class Form:
     def basis(cls, n, *indices):
         return cls(n, {tuple(indices): ONE})
 
-    @classmethod
-    def from_terms(cls, n, terms):
-        """terms: iterable of (coefficient, index-tuple)."""
-        acc = {}
-        for c, idx in terms:
-            sidx, sign = sort_index(tuple(idx))
-            if sign == 0:
-                continue
-            acc[sidx] = acc.get(sidx, ZERO) + sign * frac(c)
-        return cls(n, acc)
-
     # ---------------- basic structure ----------------
 
     def degrees(self):
@@ -328,7 +317,7 @@ def parse_form(text, n):
     and an omitted unit coefficient.  Malformed terms raise ValueError
     carrying the line and column where the term starts.
     """
-    terms = []
+    acc = {}
     for lineno, raw in enumerate(text.splitlines() or [""], start=1):
         line = raw.split("#", 1)[0]
         for m in re.finditer(r"([+-]?)([^+-]*)", line):
@@ -339,11 +328,16 @@ def parse_form(text, n):
                 if not body.strip():
                     raise ValueError(f"sign {sign!r} without a term")
                 coeff, idx = _parse_term(body)
+                if any(not 1 <= i <= n for i in idx):
+                    raise ValueError(f"index {idx} out of range for R^{n}")
             except ValueError as exc:
                 raise ValueError(
                     f"line {lineno}, column {m.start() + 1}: {exc}") from exc
-            terms.append((-coeff if sign == "-" else coeff, idx))
-    return Form.from_terms(n, terms)
+            sidx, parity = sort_index(idx)
+            if sign == "-":
+                parity = -parity
+            acc[sidx] = acc.get(sidx, ZERO) + parity * coeff
+    return Form(n, acc)
 
 
 def basis_indices(n, k):

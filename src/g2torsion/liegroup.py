@@ -48,6 +48,9 @@ class LieAlgebraData:
         for (i, j), comp in structure.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
+            for k in comp:
+                if not 1 <= k <= n:
+                    raise ValueError(f"bracket target {k} out of range")
             if i == j:
                 if any(frac(v) != 0 for v in comp.values()):
                     raise ValueError("c^k_{ii} must vanish")
@@ -60,8 +63,6 @@ class LieAlgebraData:
                 v = frac(v)
                 if v == 0:
                     continue
-                if not 1 <= k <= n:
-                    raise ValueError(f"bracket target {k} out of range")
                 tgt[k] = tgt.get(k, ZERO) + v
                 if tgt[k] == 0:
                     del tgt[k]

@@ -14,16 +14,17 @@ The n-interval solve starts from u = 0.  A Richardson pass on a doubled grid
 always follows and removes the leading O(h^2) discretization error; that
 solve starts from the converged n-interval solution, prolonged to the
 2n-interval grid by cubic interpolation (nested iteration), so it needs only
-a step or two.  The result is packaged as a C^2 quintic Hermite evaluator
-whose second derivative at the nodes is taken from the ODE itself, so
-downstream curvature checks see a solution accurate to ~1e-10.
-quintic_hermite builds the Bernstein coefficients of such an evaluator for
-all intervals in one vectorised step.
+a step or two, and the correction, known on the coarse nodes, reaches the
+fine ones through the same prolong.  The result is packaged as a C^2
+quintic Hermite evaluator whose second derivative at the nodes is taken
+from the ODE itself, so downstream curvature checks see a solution accurate
+to ~1e-10.  quintic_hermite builds the Bernstein coefficients of such an
+evaluator for all intervals in one vectorised step.
 
-The layer needs numpy only.  The piecewise Bernstein evaluator, the
-tridiagonal solve and the not-a-knot spline repeat the floating-point steps
-of scipy's BPoly, solve_banded((1, 1), ...) and CubicSpline, so their
-results agree with scipy's bit for bit; scipy is a test-time oracle only.
+The layer needs numpy only.  The piecewise Bernstein evaluator and the
+tridiagonal solve repeat the floating-point steps of scipy's BPoly and
+solve_banded((1, 1), ...), so their results agree with scipy's bit for bit;
+scipy is a test-time oracle only.
 """
 
 from __future__ import annotations
@@ -139,42 +140,6 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     return out
 
 
-def not_a_knot_spline(x, y, at):
-    """Values at `at` of the not-a-knot cubic spline through (x, y).
-
-    Repeats CubicSpline(x, y)(at) for at least four increasing nodes: the
-    same tridiagonal slope system, solved by tridiagonal_solve, the same
-    power-basis coefficients and the same evaluation order.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    diag = np.empty(len(x))
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    upper = np.empty(len(dx))
-    upper[1:] = dx[:-1]
-    lower = np.empty(len(dx))
-    lower[:-1] = dx[1:]
-    b = np.empty(len(x))
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    diag[0] = dx[1]
-    upper[0] = d = x[2] - x[0]
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    diag[-1] = dx[-2]
-    lower[-1] = d = x[-1] - x[-3]
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
-                          b.tolist())
-    if s is None:
-        raise RuntimeError("spline slope system has a zero or non-finite pivot")
-    s = np.array(s)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(dx) - 1)
-    ds = at - x[i]
-    ds2 = ds * ds
-    return c3[i] + c2[i] * ds + c1[i] * ds2 + c0[i] * (ds2 * ds)
-
-
 @dataclass(frozen=True)
 class LiouvilleConfig:
     a: float
@@ -220,6 +185,16 @@ class LiouvilleSolution:
     richardson_correction: float  # max-norm of the correction
 
 
+def _residual(u, x, h, coeff):
+    """The discrete residual u'' + coeff x e^u at the nodes u on the grid x
+    of spacing h (0 at the ends), in the precision of the arguments."""
+    r = np.zeros_like(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r[1:-1] = (u[:-2] - 2 * u[1:-1] + u[2:]) / h ** 2 \
+            + coeff * x[1:-1] * np.exp(u[1:-1])
+    return r
+
+
 def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
     """Solve the discrete system on n intervals from the n + 1 node values
     ``start``, by default u = 0.
@@ -239,14 +214,6 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
     h = (cfg.x1 - cfg.x0) / n
     u = np.zeros(n + 1) if start is None else np.asarray(start, dtype=float)
     coeff = 8.0 * cfg.a ** 2
-
-    def residual(uv):
-        r = np.zeros(n + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r[1:-1] = (uv[:-2] - 2 * uv[1:-1] + uv[2:]) / h ** 2 \
-                + coeff * x[1:-1] * np.exp(uv[1:-1])
-        return r
-
     off = [1.0 / h ** 2] * (n - 2)
 
     def newton_step(uv, rhs):
@@ -256,7 +223,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
         step = tridiagonal_solve(off, diag.tolist(), off, rhs.tolist())
         return None if step is None else np.array(step)
 
-    res = residual(u)
+    res = _residual(u, x, h, coeff)
     norm = float(np.max(np.abs(res)))
     trace = [norm]
     iters = 0
@@ -269,7 +236,7 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
         for _ in range(30):
             trial = u.copy()
             trial[1:-1] += lam * step
-            tres = residual(trial)
+            tres = _residual(trial, x, h, coeff)
             tnorm = float(np.max(np.abs(tres)))
             if np.isfinite(tnorm) and tnorm < norm:
                 u, res, norm, improved = trial, tres, tnorm, True
@@ -292,15 +259,9 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
     cl = np.longdouble(coeff)
     hl = np.longdouble(cfg.x1 - cfg.x0) / n
 
-    def residual_ld(uv):
-        r = np.zeros(n + 1, dtype=np.longdouble)
-        r[1:-1] = (uv[:-2] - 2 * uv[1:-1] + uv[2:]) / hl ** 2 \
-            + cl * xl[1:-1] * np.exp(uv[1:-1])
-        return r
-
     if norm < POLISH_BELOW:
         for _ in range(4):
-            rl = residual_ld(ul)
+            rl = _residual(ul, xl, hl, cl)
             norm = float(np.max(np.abs(rl)))
             trace.append(norm)
             if norm <= NEWTON_TOL or not np.isfinite(norm):
@@ -391,13 +352,13 @@ def solve_liouville(a, domain=(1.0, 2.0), n=400) -> LiouvilleSolution:
                           n=n)
     x, u, norm, iters, trace = _newton_solve(cfg, cfg.n)
     # nested iteration: the fine solve starts from the coarse solution
-    _, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n, prolong(u))
+    fine, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n,
+                                                    prolong(u))
     # O(h^2) error field on the coarse nodes (which sit at even positions of
-    # the fine grid); it is smooth, so a cubic spline carries the Richardson
-    # correction onto all fine nodes.
+    # the fine grid); it is smooth, so the same cubic midpoint rule carries
+    # the Richardson correction onto all fine nodes.
     corr = ((u2[::2] - u) / np.longdouble(3)).astype(float)
-    fine = np.linspace(cfg.x0, cfg.x1, 2 * cfg.n + 1)
-    u_fine = u2 + not_a_knot_spline(x, corr, fine)
+    u_fine = u2 + prolong(corr)
     du = _fourth_order_first_derivative(fine, u_fine)
     d2u = -8.0 * cfg.a ** 2 * fine * np.exp(u_fine)   # ODE-consistent
     poly = quintic_hermite(fine, u_fine, du, d2u)

@@ -59,6 +59,22 @@ def test_decompose_rejects_wrong_degree(tmp_path, capsys):
     assert main(["decompose", str(f)]) == 2
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("decompose", "e18 + e81\n", "index (1, 8) out of range for R^7"),
+    ("decompose", "0*e19\n", "index (1, 9) out of range for R^7"),
+    ("decompose", "e128 - e128\n", "index (1, 2, 8) out of range for R^7"),
+    ("group-report", "# dimension 7\n1 2 9 0\n", "bracket target 9 out of range"),
+])
+def test_out_of_range_index_with_zero_coefficient_is_usage_error(
+        tmp_path, capsys, command, text, message):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_decompose_readme_example_with_detached_signs(tmp_path, capsys):
     f = tmp_path / "readme.form"
     f.write_text("# the standard calibration 3-form\n"
@@ -421,7 +437,7 @@ def test_domain_narrower_than_the_chart_margins_is_usage_error(command, capsys):
 
 
 def test_theorem1_judges_hypotheses_at_tol(capsys):
-    """At grid 20 the base Ricci tensor is off by 8.3e-5: within --tol 1e-2
+    """At grid 20 the base Ricci tensor is off by 8.9e-5: within --tol 1e-2
     the theorem holds, at the default 1e-6 it fails with the full payload
     naming the failed hypothesis."""
     code, payload = run_json(capsys, ["theorem1", "--grid", "20", "--tol", "1e-2"])
@@ -432,7 +448,7 @@ def test_theorem1_judges_hypotheses_at_tol(capsys):
     assert payload["passed"] is False
     assert "error" not in payload
     hyp = payload["hypotheses"]
-    assert float(hyp["ricci_deviation"]) == pytest.approx(8.34417259379e-05, rel=1e-6)
+    assert float(hyp["ricci_deviation"]) == pytest.approx(8.94479169813e-05, rel=1e-6)
     assert [k for k, v in hyp.items() if float(v) > 1e-6] == ["ricci_deviation"]
     assert set(payload["residuals"]) == {
         "torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta", "ric_nabla",

@@ -6,6 +6,7 @@ coefficient sums.  The hypothesis suites cover the isometry, duality and
 antiderivation laws that the geometric modules rely on.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,19 @@ def test_parse_form_rejects_sign_without_term(text, column):
 ])
 def test_parse_form_rejects_non_ascii_digits_and_huge_exponents(text, message):
     with pytest.raises(ValueError, match=f"line 1, {message}"):
+        parse_form(text, 7)
+
+
+@pytest.mark.parametrize("text, column, idx", [
+    ("e18", 1, (1, 8)), ("e18 + e81", 1, (1, 8)), ("0*e19", 1, (1, 9)),
+    ("e128 - e128", 1, (1, 2, 8)), ("e127 + 0 e390", 6, (3, 9, 0)),
+])
+def test_parse_form_rejects_out_of_range_index_whatever_its_coefficient(
+        text, column, idx):
+    """An index outside 1..n is an error even when its coefficient is zero
+    or cancels against another term."""
+    message = re.escape(f"index {idx} out of range for R^7")
+    with pytest.raises(ValueError, match=f"line 1, column {column}: {message}"):
         parse_form(text, 7)
 
 

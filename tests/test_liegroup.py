@@ -320,6 +320,15 @@ def test_parse_algebra_reports_line_numbers():
         lg.parse_algebra("1 2 3 1\n1 3 2 1\n2 1 3 1\n")
 
 
+@pytest.mark.parametrize("structure", [{(1, 2): {9: 0}}, {(2, 1): {0: 0}},
+                                       {(1, 1): {8: 0}}])
+def test_algebra_checks_target_range_before_skipping_zeros(structure):
+    """A bracket target outside 1..n is an error even when its constant is 0
+    (the CLI tests read such a line through parse_algebra)."""
+    with pytest.raises(ValueError, match="bracket target . out of range"):
+        lg.LieAlgebraData(7, structure)
+
+
 def seeded_slot_triples(seed=17):
     """su(2)_lam on every slot triple, each in a seeded slot order and at a
     seeded lam = +-p/q (p <= 99, q <= 9), as the pipeline benchmark draws."""

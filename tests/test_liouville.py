@@ -17,8 +17,6 @@ from g2torsion.liouville import (POLISH_BELOW, LiouvilleConfig, prolong,
 
 from .util import is_concave, ode_rhs, raw_solve, refinement_orders
 
-RNG = np.random.default_rng(11)
-
 
 def test_zero_parameter_solution_is_linear():
     """At a = 0 the solution is the line through the zero boundary values."""
@@ -38,15 +36,19 @@ def test_solution_meets_boundary_and_residual_cap():
     assert sol.iterations > 0
 
 
-def test_evaluator_satisfies_ode_off_grid():
-    """u'' + 8 a^2 x e^u ~ 0 at arbitrary points, not just nodes."""
-    a = 0.5
-    sol = solve_liouville(a)
-    xs = 1.0 + RNG.random(50)
+@pytest.mark.parametrize("a, n, bound", [(0.5, 400, 2e-7), (0.25, 200, 3e-8),
+                                         (0.45, 1600, 5e-8), (0.53, 200, 3e-6)])
+def test_evaluator_satisfies_ode_off_grid(a, n, bound):
+    """u'' + 8 a^2 x e^u ~ 0 at arbitrary points, not just nodes.
+
+    The defect measures how the Richardson correction reaches the midpoints
+    of the doubled grid: with the cubic rule of prolong it is 1.2e-8 to
+    1.5e-6 on these grids, carried linearly it is 25 to 350 times larger,
+    and left out at the midpoints it is O(1)."""
+    sol = solve_liouville(a, n=n)
+    xs = np.linspace(1.0, 2.0, 4001)
     residual = sol.d2u(xs) + 8 * a * a * xs * np.exp(sol.u(xs))
-    # between nodes the quintic interpolant's u'' drifts from the ODE by
-    # its own interpolation error, a few 1e-8 at the default grid
-    assert np.max(np.abs(residual)) < 2e-7
+    assert np.max(np.abs(residual)) < bound
 
 
 def test_evaluator_derivative_consistency():
@@ -154,9 +156,9 @@ def test_newton_trace_and_richardson_correction_are_kept():
 def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
     """Float64 Newton stops at the first residual below POLISH_BELOW instead
     of grinding on its rounding floor, and the 3200-interval solve starts
-    from the 1600-interval solution: 5 tridiagonal solves for a = 0.25 (3
-    coarse, 1 fine and the spline's), where stepping on to the floor from two
-    straight lines took 13."""
+    from the 1600-interval solution: 4 tridiagonal solves for a = 0.25 (3
+    coarse and 1 fine), where stepping on to the floor from two straight
+    lines took 13."""
     solves = []
 
     def counting(*args):
@@ -165,7 +167,7 @@ def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
 
     monkeypatch.setattr(liouville, "tridiagonal_solve", counting)
     sol = solve_liouville(0.25, n=1600)
-    assert len(solves) <= 5
+    assert len(solves) <= 4
     assert sol.residual_norm < 1e-12
 
 

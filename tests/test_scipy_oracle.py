@@ -1,16 +1,16 @@
 """The numpy-only float layer against scipy as an independent oracle.
 
-The Bernstein evaluator, the tridiagonal solve and the not-a-knot spline in
-``liouville`` repeat the floating-point steps of scipy's BPoly,
-solve_banded((1, 1), ...) and CubicSpline, so every comparison here is bit
-for bit.  scipy is a test-only dependency; without it the module skips.
+The Bernstein evaluator and the tridiagonal solve in ``liouville`` repeat
+the floating-point steps of scipy's BPoly and solve_banded((1, 1), ...), so
+every comparison here is bit for bit.  scipy is a test-only dependency;
+without it the module skips.
 """
 
 import numpy as np
 import pytest
 
-from g2torsion.liouville import (not_a_knot_spline, quintic_hermite,
-                                 solve_liouville, tridiagonal_solve)
+from g2torsion.liouville import (quintic_hermite, solve_liouville,
+                                 tridiagonal_solve)
 
 from .util import raw_solve
 
@@ -52,18 +52,6 @@ def test_antiderivative_matches_bpoly(uniform):
     xs = sample_points(x, 8)
     assert np.array_equal(ours(xs), ref(xs))
     assert np.array_equal([ours(float(v)) for v in xs], ref(xs))
-
-
-@pytest.mark.parametrize("nodes", [5, 201, 1601])
-@pytest.mark.parametrize("uniform", [True, False])
-def test_not_a_knot_spline_matches_cubic_spline(nodes, uniform):
-    rng = np.random.default_rng(nodes)
-    x = np.linspace(1.0, 2.0, nodes) if uniform else 1.0 + np.cumsum(rng.random(nodes))
-    y = rng.normal(size=nodes)
-    at = np.concatenate([np.linspace(x[0], x[-1], 2 * nodes - 1),
-                         sample_points(x, nodes + 1)])
-    assert np.array_equal(not_a_knot_spline(x, y, at),
-                          interpolate.CubicSpline(x, y)(at))
 
 
 def solve_banded(lower, diag, upper, rhs):
