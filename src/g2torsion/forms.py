@@ -57,15 +57,17 @@ class Form:
         self.n = n
         clean = {}
         if coeffs:
+            axes = frozenset(range(1, n + 1))
             for idx, c in coeffs.items():
+                # range first: a zero or a repeated index excuses nothing
+                if not axes.issuperset(idx):
+                    raise ValueError(f"index {idx} out of range for R^{n}")
                 c = frac(c)
                 if c == 0:
                     continue
                 sidx, sign = sort_index(tuple(idx))
                 if sign == 0:
                     continue
-                if any(not 1 <= i <= n for i in sidx):
-                    raise ValueError(f"index {idx} out of range for R^{n}")
                 clean[sidx] = clean.get(sidx, ZERO) + sign * c
                 if clean[sidx] == 0:
                     del clean[sidx]

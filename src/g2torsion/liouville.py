@@ -5,21 +5,18 @@ u = u(x), satisfies
 
     u'' = -8 a^2 x e^u        on [x0, x1], x0 > 0,   u(x0) = u(x1) = 0.
 
-The central finite-difference discretization is solved in two phases: damped
-float64 Newton steps carry the iterate into the quadratic region, where the
+One O(h^4) solve on n intervals uses Numerov's compact three-point scheme,
+(u[i-1] - 2 u[i] + u[i+1]) / h^2 + (g[i-1] + 10 g[i] + g[i+1]) / 12 = 0 with
+g = 8 a^2 x e^u, whose Newton matrix is tridiagonal.  Damped float64 Newton
+steps from u = 0 carry the iterate into the quadratic region, where the
 residual is below POLISH_BELOW, and Newton steps with a long-double residual
-then polish it to a strict tolerance, below the ~eps/h^2 floor a float64
-residual cannot beat; a solve whose residual ends above RESIDUAL_CAP raises.
-The n-interval solve starts from u = 0.  A Richardson pass on a doubled grid
-always follows and removes the leading O(h^2) discretization error; that
-solve starts from the converged n-interval solution, prolonged to the
-2n-interval grid by cubic interpolation (nested iteration), so it needs only
-a step or two, and the correction, known on the coarse nodes, reaches the
-fine ones through the same prolong.  The result is packaged as a C^2
-quintic Hermite evaluator whose second derivative at the nodes is taken
-from the ODE itself, so downstream curvature checks see a solution accurate
-to ~1e-10.  quintic_hermite builds the Bernstein coefficients of such an
-evaluator for all intervals in one vectorised step.
+then polish it below the ~eps/h^2 floor a float64 residual cannot beat; a
+solve whose residual ends above RESIDUAL_CAP raises.  The result is a C^2
+quintic Hermite evaluator on the same grid, from the node values,
+sixth-order node slopes (7-point stencils, one-sided at the three nodes
+nearest each end) and u'' at the nodes from the ODE itself, so downstream
+curvature checks see a solution accurate to ~1e-10.  quintic_hermite builds
+its Bernstein coefficients for all intervals in one vectorised step.
 
 The layer needs numpy only.  The piecewise Bernstein evaluator and the
 tridiagonal solve repeat the floating-point steps of scipy's BPoly and
@@ -31,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -159,14 +158,12 @@ class LiouvilleConfig:
                              "8 a^2 is not finite")
         if self.n < 4:
             raise ValueError("grid too coarse")
-        # the second differences divide by h^2 on n and on 2n intervals
-        width = self.x1 - self.x0
-        for m in (self.n, 2 * self.n):
-            h2 = (width / m) * (width / m)
-            if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
-                raise ValueError(f"domain [{self.x0!r}, {self.x1!r}] on {m} "
-                                 "intervals gives a spacing h with h^2 or "
-                                 "1/h^2 out of range")
+        # the second differences divide by h^2
+        h = (self.x1 - self.x0) / self.n
+        if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+            raise ValueError(f"domain [{self.x0!r}, {self.x1!r}] on {self.n} "
+                             "intervals gives a spacing h with h^2 or 1/h^2 "
+                             "out of range")
 
 
 @dataclass
@@ -179,25 +176,23 @@ class LiouvilleSolution:
     u: Bernstein = field(repr=False)      # the C^2 quintic evaluator of u
     du: Bernstein = field(repr=False)     # u'
     d2u: Bernstein = field(repr=False)    # u''
-    # Residual max-norm before and after each Newton step, one tuple per
-    # solve: (n-interval solve, doubled-grid Richardson solve).
+    # Residual max-norm before the first and after every Newton step.
     trace: tuple
-    richardson_correction: float  # max-norm of the correction
 
 
 def _residual(u, x, h, coeff):
-    """The discrete residual u'' + coeff x e^u at the nodes u on the grid x
+    """Numerov's residual of u'' + coeff x e^u at the nodes u on the grid x
     of spacing h (0 at the ends), in the precision of the arguments."""
     r = np.zeros_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
+        g = coeff * x * np.exp(u)
         r[1:-1] = (u[:-2] - 2 * u[1:-1] + u[2:]) / h ** 2 \
-            + coeff * x[1:-1] * np.exp(u[1:-1])
+            + (g[:-2] + 10 * g[1:-1] + g[2:]) / 12
     return r
 
 
-def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
-    """Solve the discrete system on n intervals from the n + 1 node values
-    ``start``, by default u = 0.
+def _newton_solve(cfg: LiouvilleConfig):
+    """Solve Numerov's system on cfg.n intervals from u = 0.
 
     Returns (grid, u, res, iters, trace), trace being the residual max-norm
     before the first and after every Newton step.
@@ -210,17 +205,21 @@ def _newton_solve(cfg: LiouvilleConfig, n: int, start=None):
     if the final residual still exceeds RESIDUAL_CAP.  A Newton matrix with a
     zero or non-finite pivot ends either phase like a rejected step.
     """
+    n = cfg.n
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
     h = (cfg.x1 - cfg.x0) / n
-    u = np.zeros(n + 1) if start is None else np.asarray(start, dtype=float)
+    u = np.zeros(n + 1)
     coeff = 8.0 * cfg.a ** 2
-    off = [1.0 / h ** 2] * (n - 2)
 
     def newton_step(uv, rhs):
-        """Solve J step = rhs for the Newton matrix J at uv (tridiagonal,
-        1/h^2 off the diagonal); None when J has a bad pivot."""
-        diag = -2.0 / h ** 2 + coeff * x[1:-1] * np.exp(uv[1:-1])
-        step = tridiagonal_solve(off, diag.tolist(), off, rhs.tolist())
+        """Solve J step = rhs for the Newton matrix J at uv: tridiagonal,
+        -2/h^2 + 10 g[i]/12 on the diagonal and 1/h^2 + g[j]/12 in column j
+        off it; None when J has a bad pivot."""
+        g = coeff * x * np.exp(uv) / 12
+        off = 1.0 / h ** 2 + g
+        diag = -2.0 / h ** 2 + 10 * g[1:-1]
+        step = tridiagonal_solve(off[1:-2].tolist(), diag.tolist(),
+                                 off[2:-1].tolist(), rhs.tolist())
         return None if step is None else np.array(step)
 
     res = _residual(u, x, h, coeff)
@@ -312,60 +311,50 @@ def quintic_hermite(x, y, dy, d2y) -> Bernstein:
     return Bernstein(c, x)
 
 
-def prolong(u):
-    """Node values on the doubled grid of a function given at the nodes of a
-    uniform grid: the nodes are kept, and each midpoint takes the cubic
-    through the four nearest nodes, (-1, 9, 9, -1)/16 inside and
-    (5, 15, -5, 1)/16 at the two end intervals.  Exact for cubics."""
-    u = np.asarray(u)
-    fine = np.empty(2 * len(u) - 1, dtype=u.dtype)
-    fine[::2] = u
-    fine[3:-3:2] = (9 * (u[1:-2] + u[2:-1]) - (u[:-3] + u[3:])) / 16
-    fine[1] = (5 * u[0] + 15 * u[1] - 5 * u[2] + u[3]) / 16
-    fine[-2] = (5 * u[-1] + 15 * u[-2] - 5 * u[-3] + u[-4]) / 16
-    return fine
+@cache
+def _slope_weights(m):
+    """Row r: the weights w with p'(r) = sum_k w[k] p(k) for every
+    polynomial p of degree below m, the derivatives at r of the Lagrange
+    basis polynomials of the nodes 0..m-1, exact rationals rounded once."""
+    def weight(r, k):
+        others = [j for j in range(m) if j != k]
+        if r == k:
+            return sum(Fraction(1, k - j) for j in others)
+        return Fraction(math.prod(r - j for j in others if j != r),
+                        math.prod(k - j for j in others))
+    w = np.array([[float(weight(r, k)) for k in range(m)] for r in range(m)])
+    w.flags.writeable = False      # one cached table serves every caller
+    return w
 
 
-def _fourth_order_first_derivative(x, u):
-    """O(h^4) first derivative on a uniform grid (one-sided at the ends)."""
-    n = len(u) - 1
-    h = x[1] - x[0]
-    du = np.zeros(n + 1)
-    du[2:-2] = (-u[4:] + 8 * u[3:-1] - 8 * u[1:-3] + u[:-4]) / (12 * h)
-    # 5-point one-sided stencils
-    du[0] = (-25 * u[0] + 48 * u[1] - 36 * u[2] + 16 * u[3] - 3 * u[4]) / (12 * h)
-    du[1] = (-3 * u[0] - 10 * u[1] + 18 * u[2] - 6 * u[3] + u[4]) / (12 * h)
-    du[-2] = (3 * u[-1] + 10 * u[-2] - 18 * u[-3] + 6 * u[-4] - u[-5]) / (12 * h)
-    du[-1] = (25 * u[-1] - 48 * u[-2] + 36 * u[-3] - 16 * u[-4] + 3 * u[-5]) / (12 * h)
-    return du
+def _node_slopes(u, h):
+    """Sixth-order u' at the nodes of a uniform grid of spacing h: the
+    derivative of the degree-6 interpolant through the 7 nearest nodes
+    (Fornberg's weights: (-1, 9, -45, 0, 45, -9, 1)/(60h) inside, one-sided
+    at the three nodes nearest each end; all nodes when there are fewer)."""
+    m = min(7, len(u))
+    i = np.arange(len(u))
+    start = np.clip(i - m // 2, 0, len(u) - m)
+    window = u[start[:, None] + np.arange(m)]
+    return np.sum(_slope_weights(m)[i - start] * window, axis=1) / h
 
 
 def solve_liouville(a, domain=(1.0, 2.0), n=400) -> LiouvilleSolution:
     """Solve u'' = -8 a^2 x e^u with zero Dirichlet values on the domain.
 
-    The reported residual is the max-norm of the plugged-back second-order
-    discretization on the solve grid; the solver raises if it cannot be
-    driven below RESIDUAL_CAP, on the solve grid and on the doubled
-    Richardson grid alike.
+    One Numerov solve on n intervals; the reported residual is the max-norm
+    of the plugged-back Numerov discretization on that grid, and the solver
+    raises if it cannot be driven below RESIDUAL_CAP.  The evaluators
+    interpolate the nodes with sixth-order slopes and u'' from the ODE.
     """
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
                           n=n)
-    x, u, norm, iters, trace = _newton_solve(cfg, cfg.n)
-    # nested iteration: the fine solve starts from the coarse solution
-    fine, u2, norm2, iters2, trace2 = _newton_solve(cfg, 2 * cfg.n,
-                                                    prolong(u))
-    # O(h^2) error field on the coarse nodes (which sit at even positions of
-    # the fine grid); it is smooth, so the same cubic midpoint rule carries
-    # the Richardson correction onto all fine nodes.
-    corr = ((u2[::2] - u) / np.longdouble(3)).astype(float)
-    u_fine = u2 + prolong(corr)
-    du = _fourth_order_first_derivative(fine, u_fine)
-    d2u = -8.0 * cfg.a ** 2 * fine * np.exp(u_fine)   # ODE-consistent
-    poly = quintic_hermite(fine, u_fine, du, d2u)
+    x, ul, norm, iters, trace = _newton_solve(cfg)
+    u = ul.astype(float)
+    du = _node_slopes(u, (cfg.x1 - cfg.x0) / cfg.n)
+    d2u = -8.0 * cfg.a ** 2 * x * np.exp(u)   # ODE-consistent
+    poly = quintic_hermite(x, u, du, d2u)
     dpoly = poly.derivative()
     d2poly = dpoly.derivative()
-    values = u2[::2] + corr      # the extrapolant u2 + (u2 - u)/3
-    return LiouvilleSolution(cfg, x, np.asarray(values, dtype=float),
-                             max(norm, norm2), iters + iters2, poly, dpoly,
-                             d2poly, (trace, trace2),
-                             float(np.max(np.abs(corr))))
+    return LiouvilleSolution(cfg, x, u, norm, iters, poly, dpoly, d2poly,
+                             trace)

@@ -437,7 +437,7 @@ def test_domain_narrower_than_the_chart_margins_is_usage_error(command, capsys):
 
 
 def test_theorem1_judges_hypotheses_at_tol(capsys):
-    """At grid 20 the base Ricci tensor is off by 8.9e-5: within --tol 1e-2
+    """At grid 20 the base Ricci tensor is off by 1.1e-5: within --tol 1e-2
     the theorem holds, at the default 1e-6 it fails with the full payload
     naming the failed hypothesis."""
     code, payload = run_json(capsys, ["theorem1", "--grid", "20", "--tol", "1e-2"])
@@ -448,7 +448,7 @@ def test_theorem1_judges_hypotheses_at_tol(capsys):
     assert payload["passed"] is False
     assert "error" not in payload
     hyp = payload["hypotheses"]
-    assert float(hyp["ricci_deviation"]) == pytest.approx(8.94479169813e-05, rel=1e-6)
+    assert float(hyp["ricci_deviation"]) == pytest.approx(1.11148261497e-05, rel=1e-6)
     assert [k for k, v in hyp.items() if float(v) > 1e-6] == ["ricci_deviation"]
     assert set(payload["residuals"]) == {
         "torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta", "ric_nabla",

@@ -177,6 +177,18 @@ def test_parse_form_rejects_out_of_range_index_whatever_its_coefficient(
         parse_form(text, 7)
 
 
+@pytest.mark.parametrize("coeffs, idx", [
+    ({(1, 8): 0}, (1, 8)), ({(8, 8): 1}, (8, 8)), ({(0, 0, 3): 5}, (0, 0, 3)),
+    ({(1, 2): 1, (9, 1): Fraction(0)}, (9, 1)),
+])
+def test_form_rejects_out_of_range_index_whatever_its_coefficient(coeffs, idx):
+    """The constructor checks every index against 1..n before it drops a
+    zero coefficient or a repeated index."""
+    message = re.escape(f"index {idx} out of range for R^7")
+    with pytest.raises(ValueError, match=message):
+        Form(7, coeffs)
+
+
 def test_form_vector_roundtrip():
     idx = basis_indices(7, 3)
     t = Form(7, {(1, 2, 7): Fraction(3, 2), (3, 4, 7): Fraction(-1)})

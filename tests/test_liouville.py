@@ -2,7 +2,8 @@
 
 Oracles: the a = 0 case is exactly linear; for a > 0 the plugged-back ODE
 residual of the packaged evaluator is checked directly on off-grid points,
-and the raw discretization converges at second order.
+the Numerov solve converges at fourth order, and the node slopes are exact
+for polynomials of degree 6.
 """
 
 import math
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 from g2torsion import liouville
-from g2torsion.liouville import (POLISH_BELOW, LiouvilleConfig, prolong,
-                                 quintic_hermite, solve_liouville,
-                                 tridiagonal_solve)
+from g2torsion.liouville import (POLISH_BELOW, LiouvilleConfig, _node_slopes,
+                                 _slope_weights, quintic_hermite,
+                                 solve_liouville, tridiagonal_solve)
 
-from .util import is_concave, ode_rhs, raw_solve, refinement_orders
+from .util import is_concave, ode_rhs
 
 
 def test_zero_parameter_solution_is_linear():
@@ -36,15 +37,15 @@ def test_solution_meets_boundary_and_residual_cap():
     assert sol.iterations > 0
 
 
-@pytest.mark.parametrize("a, n, bound", [(0.5, 400, 2e-7), (0.25, 200, 3e-8),
-                                         (0.45, 1600, 5e-8), (0.53, 200, 3e-6)])
+@pytest.mark.parametrize("a, n, bound", [(0.5, 400, 2e-9), (0.25, 200, 1e-10),
+                                         (0.45, 1600, 3e-8), (0.53, 200, 3e-8)])
 def test_evaluator_satisfies_ode_off_grid(a, n, bound):
     """u'' + 8 a^2 x e^u ~ 0 at arbitrary points, not just nodes.
 
-    The defect measures how the Richardson correction reaches the midpoints
-    of the doubled grid: with the cubic rule of prolong it is 1.2e-8 to
-    1.5e-6 on these grids, carried linearly it is 25 to 350 times larger,
-    and left out at the midpoints it is O(1)."""
+    Between the nodes the defect measures the node slopes: with the
+    sixth-order slopes it is 2.9e-11 to 9.7e-9 on these grids (8.5e-9 at
+    n = 1600, where node rounding divided by h^2 dominates); with 5-point
+    fourth-order slopes it is 1.0e-7 to 1.3e-5 at n = 200 and 400."""
     sol = solve_liouville(a, n=n)
     xs = np.linspace(1.0, 2.0, 4001)
     residual = sol.d2u(xs) + 8 * a * a * xs * np.exp(sol.u(xs))
@@ -76,18 +77,18 @@ def test_rhs_helper_matches_definition():
     assert np.allclose(ode_rhs(sol, xs), want, rtol=0, atol=1e-13)
 
 
-def test_refinement_is_second_order():
-    orders = refinement_orders(0.5, grids=(25, 50, 100))
-    assert all(o > 1.9 for o in orders), orders
-
-
-def test_richardson_improves_raw_solution():
-    ref = solve_liouville(0.5, n=1600)
-    x, raw, _ = raw_solve(0.5, 50)
-    rich = solve_liouville(0.5, n=50)
-    err_raw = float(np.max(np.abs(raw - ref.u(x))))
-    err_rich = float(np.max(np.abs(rich.values - ref.u(rich.grid))))
-    assert err_rich < err_raw / 20
+@pytest.mark.parametrize("a", [0.25, 0.5])
+def test_refinement_is_fourth_order(a):
+    """Halving h divides the nodal error by 16: the observed orders against
+    a 1280-interval solve are 3.999 to 4.012 (a second-order residual gives
+    about 2)."""
+    ref = solve_liouville(a, n=1280)
+    errors = []
+    for n in (10, 20, 40, 80):
+        sol = solve_liouville(a, n=n)
+        errors.append(float(np.max(np.abs(sol.values - ref.u(sol.grid)))))
+    orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+    assert all(o > 3.9 for o in orders), orders
 
 
 def test_config_validation():
@@ -132,33 +133,24 @@ def test_quintic_hermite_matches_scipy_bit_for_bit(nodes, uniform):
     assert np.array_equal(poly.x, ref.x)
 
 
-def test_newton_trace_and_richardson_correction_are_kept():
+def test_newton_trace_is_kept():
     sol = solve_liouville(0.5, n=100)
-    coarse, fine = sol.trace
-    # the coarse solve starts from u = 0, the fine one from the
-    # prolonged coarse solution, whose residual is about 1e-3 at h = 1/200
-    assert coarse[0] > 1.0 and fine[0] < 1e-2
-    for trace in (coarse, fine):
-        assert trace[-1] < 1e-10
-        # damped steps only accept a smaller residual; the long-double
-        # polish can stall at its own floor
-        assert all(b < a for a, b in zip(trace, trace[1:]) if a > 1e-6)
-    assert sol.residual_norm == max(coarse[-1], fine[-1])
-    # the correction (u_{h/2} - u_h)/3 is O(h^2): about 1e-5 at h = 1/100
-    assert 1e-8 < sol.richardson_correction < 1e-4
-    _, raw, raw_trace = raw_solve(0.5, 100)
-    assert raw_trace == coarse
-    # the extrapolant u_h + 4 (u_{h/2} - u_h)/3 moves the raw nodes by 4 corr
-    assert np.max(np.abs(sol.values - raw)) == pytest.approx(
-        4 * sol.richardson_correction, rel=1e-6)
+    trace = sol.trace
+    # the solve starts from u = 0, where the residual is the averaged
+    # 8 a^2 x, about 4
+    assert trace[0] > 1.0
+    assert trace[-1] < 1e-10
+    # damped steps only accept a smaller residual; the long-double polish
+    # can stall at its own floor
+    assert all(b < a for a, b in zip(trace, trace[1:]) if a > 1e-6)
+    assert sol.residual_norm == trace[-1]
+    assert sol.iterations == len(trace) - 2      # the polish re-measures once
 
 
 def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
     """Float64 Newton stops at the first residual below POLISH_BELOW instead
-    of grinding on its rounding floor, and the 3200-interval solve starts
-    from the 1600-interval solution: 4 tridiagonal solves for a = 0.25 (3
-    coarse and 1 fine), where stepping on to the floor from two straight
-    lines took 13."""
+    of grinding on its rounding floor: 3 tridiagonal solves for a = 0.25 on
+    1600 intervals, two damped steps and one polish step."""
     solves = []
 
     def counting(*args):
@@ -167,25 +159,32 @@ def test_damped_phase_hands_over_below_the_polish_threshold(monkeypatch):
 
     monkeypatch.setattr(liouville, "tridiagonal_solve", counting)
     sol = solve_liouville(0.25, n=1600)
-    assert len(solves) <= 4
+    assert len(solves) <= 3
     assert sol.residual_norm < 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 5, 100])
-def test_prolongation_reproduces_cubics(n):
-    """The doubled-grid start keeps the nodes and puts each midpoint on the
-    cubic through its four nearest nodes, so any cubic is reproduced on the
-    fine nodes to rounding, end intervals included."""
+@pytest.mark.parametrize("n", [4, 5, 6, 100])
+def test_node_slopes_reproduce_sextics(n):
+    """The node slopes differentiate the degree-6 interpolant through the
+    7 nearest nodes (all nodes on 4 and 5 intervals), so they are exact for
+    sextics to rounding, end nodes included."""
     rng = np.random.default_rng(n)
     x = np.linspace(1.0, 2.0, n + 1)
-    fine = np.linspace(1.0, 2.0, 2 * n + 1)
     for _ in range(5):
-        cubic = np.polynomial.Polynomial(rng.normal(size=4))
-        got = prolong(cubic(x))
-        assert np.array_equal(got[::2], cubic(x))
-        assert np.max(np.abs(got - cubic(fine))) < 1e-13
-    # a quartic is not: inside, its midpoint error is 9/16 h^4
-    assert np.max(np.abs(prolong(x ** 4) - fine ** 4)) > 0.5 / n ** 4
+        p = np.polynomial.Polynomial(rng.normal(size=min(6, n) + 1))
+        got = _node_slopes(p(x), 1.0 / n)
+        assert np.max(np.abs(got - p.deriv()(x))) < 1e-9
+
+
+def test_slope_weights_are_fornbergs():
+    """Sixth-order weights times 60: one-sided at the three nodes nearest
+    each end, (-1, 9, -45, 0, 45, -9, 1) inside."""
+    want = np.array([[-147, 360, -450, 400, -225, 72, -10],
+                     [-10, -77, 150, -100, 50, -15, 2],
+                     [2, -24, -35, 80, -30, 8, -1],
+                     [-1, 9, -45, 0, 45, -9, 1]])
+    want = np.vstack([want, -want[2::-1, ::-1]])
+    assert np.allclose(_slope_weights(7) * 60, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.05, 0.25, 0.45, 0.5])
@@ -194,9 +193,9 @@ def test_trace_leaves_float64_at_the_first_residual_below_threshold(a, n):
     """Each trace runs float64 residuals down to the first one below
     POLISH_BELOW; every later entry belongs to the polish, which takes at
     most four steps."""
-    for trace in solve_liouville(a, n=n).trace:
-        first = next(i for i, t in enumerate(trace) if t < POLISH_BELOW)
-        assert len(trace) - (first + 1) <= 4, trace
+    trace = solve_liouville(a, n=n).trace
+    first = next(i for i, t in enumerate(trace) if t < POLISH_BELOW)
+    assert len(trace) - (first + 1) <= 4, trace
 
 
 @pytest.mark.parametrize("n", [200, 1600])

@@ -2,8 +2,9 @@
 
 The Bernstein evaluator and the tridiagonal solve in ``liouville`` repeat
 the floating-point steps of scipy's BPoly and solve_banded((1, 1), ...), so
-every comparison here is bit for bit.  scipy is a test-only dependency;
-without it the module skips.
+those comparisons are bit for bit.  The solution itself is compared with
+scipy's collocation solver solve_bvp, which shares no code with it.  scipy
+is a test-only dependency; without it the module skips.
 """
 
 import numpy as np
@@ -12,9 +13,8 @@ import pytest
 from g2torsion.liouville import (quintic_hermite, solve_liouville,
                                  tridiagonal_solve)
 
-from .util import raw_solve
-
 interpolate = pytest.importorskip("scipy.interpolate")
+integrate = pytest.importorskip("scipy.integrate")
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
 
@@ -61,20 +61,24 @@ def solve_banded(lower, diag, upper, rhs):
 
 
 def newton_matrix(a, u, n):
-    """The Newton matrix of the solver at the iterate u on n intervals."""
+    """(lower, diag, upper) of the solver's Numerov Newton matrix at the
+    iterate u on n intervals: 1/h^2 + g[j]/12 in column j off the diagonal,
+    -2/h^2 + 10 g[i]/12 on it, with g = 8 a^2 x e^u."""
     h = 1.0 / n
     x = np.linspace(1.0, 2.0, n + 1)
-    off = np.full(n - 2, 1.0 / h ** 2)
-    return off, -2.0 / h ** 2 + 8.0 * a ** 2 * x[1:-1] * np.exp(u[1:-1]), off
+    g = 8.0 * a ** 2 * x * np.exp(u) / 12
+    off = 1.0 / h ** 2 + g
+    return off[1:-2], -2.0 / h ** 2 + 10 * g[1:-1], off[2:-1]
 
 
 @pytest.mark.parametrize("a, n", [(0.25, 200), (0.25, 800), (0.45, 1600)])
 def test_tridiagonal_solve_matches_solve_banded_on_newton_matrices(a, n):
     """At a = 0.45 on 1600 intervals dgtsv interchanges rows near x = 2."""
-    _, raw, _ = raw_solve(a, n)
+    last = solve_liouville(a, n=n).values
     rhs = np.random.default_rng(n).normal(size=n - 1)
-    for u in (np.zeros(n + 1), raw):                 # first and last iterate
+    for u in (np.zeros(n + 1), last):                # first and last iterate
         lower, diag, upper = newton_matrix(a, u, n)
+        assert not np.array_equal(lower, upper)
         got = tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
                                 rhs.tolist())
         assert np.array_equal(got, solve_banded(lower, diag, upper, rhs))
@@ -90,3 +94,26 @@ def test_tridiagonal_solve_matches_solve_banded_with_row_interchanges():
         got = tridiagonal_solve(lower.tolist(), diag.tolist(),
                                 upper[:-1].tolist(), rhs.tolist())
         assert np.array_equal(got, solve_banded(lower, diag, upper[:-1], rhs))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.45, 0.53])
+@pytest.mark.parametrize("n, u_bound, du_bound", [(200, 2e-9, 6e-9),
+                                                  (1600, 1e-11, 1e-10)])
+def test_solution_matches_solve_bvp(a, n, u_bound, du_bound):
+    """u and u' against scipy's collocation solve from a 50-node zero
+    start.  The differences are 5.5e-13 to 8.6e-10 in u and at most 2.6e-9
+    in u' at n = 200, and at most 3.0e-13 and 2.4e-12 at n = 1600, near
+    solve_bvp's own floor of about 1e-13."""
+    def rhs(x, y):
+        return np.vstack([y[1], -8.0 * a * a * x * np.exp(y[0])])
+
+    mesh = np.linspace(1.0, 2.0, 50)
+    ref = integrate.solve_bvp(rhs, lambda ya, yb: np.array([ya[0], yb[0]]),
+                              mesh, np.zeros((2, 50)), tol=1e-10,
+                              bc_tol=1e-13, max_nodes=10000)
+    assert ref.status == 0, ref.message
+    xs = np.linspace(1.001, 1.999, 4001)
+    want_u, want_du = ref.sol(xs)
+    sol = solve_liouville(a, n=n)
+    assert np.max(np.abs(sol.u(xs) - want_u)) < u_bound
+    assert np.max(np.abs(sol.du(xs) - want_du)) < du_bound

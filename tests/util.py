@@ -12,7 +12,6 @@ from g2torsion.classifier import reference_spinors
 from g2torsion.forms import Form, basis_indices
 from g2torsion.g2 import lambda27_basis
 from g2torsion.linalg import frac, identity, mat_scale, matmul, nullspace, transpose
-from g2torsion.liouville import LiouvilleConfig, _newton_solve, solve_liouville
 from g2torsion.spin import standard_rep
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -476,25 +475,3 @@ def ode_rhs(sol, x):
 
 def is_concave(sol):
     return bool(np.all(sol.d2u(sol.grid) <= 1e-12))
-
-
-def raw_solve(a, n):
-    """(grid, node values, trace) of the n-interval Newton solve on [1, 2],
-    without the Richardson pass."""
-    x, u, _, _, trace = _newton_solve(LiouvilleConfig(a=a, n=n), n)
-    return x, u.astype(float), trace
-
-
-def refinement_orders(a, grids=(25, 50, 100, 200)):
-    """Observed convergence orders of the raw (non-Richardson) solve.
-
-    Compares successive solutions against a fine reference solution and
-    returns log2 error ratios; second-order discretization gives values
-    near 2.
-    """
-    ref = solve_liouville(a, n=4 * grids[-1])
-    errors = []
-    for n in grids:
-        x, u, _ = raw_solve(a, n)
-        errors.append(float(np.max(np.abs(u - ref.u(x)))))
-    return [log(errors[i] / errors[i + 1], 2) for i in range(len(errors) - 1)]
