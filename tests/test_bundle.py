@@ -91,6 +91,14 @@ def test_bundle_assembly_and_potential():
         assert abs(fd - want) < 1e-8
 
 
+def test_potential_residual_reads_the_spline_not_rounding():
+    """potential_residual compares the spline's own derivative with
+    2 a x e^u; a +-1e-6 central difference would read ~1e-9 of rounding
+    here, far above the potential's ~1e-13 error."""
+    data = bd.assemble_N5(solve_liouville(0.53, n=200))
+    assert 0.0 < data.hypotheses["potential_residual"] < 1e-11
+
+
 def test_bundle_coframe_shape():
     data = bd.assemble_N5(SOL)
     p = np.array([1.5, 0.1, -0.2, 0.3, 0.0])
