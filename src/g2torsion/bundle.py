@@ -21,6 +21,7 @@ failed hypothesis: it is a residual over the tolerance like any conclusion.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -196,12 +197,12 @@ def assemble_N5(sol: LiouvilleSolution) -> BundleData:
     The hypotheses are (1)-(4) of hypothesis_panel and (5) the
     coordinate-line potential satisfies dA = Omega (potential_residual);
     theorem1_passed judges them.  They are measured at 10 points from
-    default_rng(7), whatever cmd_theorem1's --points and --seed say.  The
+    random.Random(7), whatever cmd_theorem1's --points and --seed say.  The
     fiber coordinate is realized as a line; eta = ds + Q(x) dy.
     """
     a = sol.config.a
     base = kahler_coframe(sol)
-    points = base.sample_points(np.random.default_rng(7), 10)
+    points = base.sample_points(random.Random(7), 10)
     hypotheses = hypothesis_panel(base, a, points)
     potential = _potential_spline(sol, a)
     # residual of dA = Omega at the base points: the spline's own dA/dx vs

@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import sys
 from fractions import Fraction
@@ -185,16 +186,13 @@ def cmd_group_report(args):
 
 
 def cmd_kahler(args):
-    import numpy as np
-
     from .bundle import (eigenvalue_multiplicity_gap, kahler_coframe,
                          kahler_ricci_deviation, kahler_ricci_eigenvalues)
     from .liouville import solve_liouville
 
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     cf = kahler_coframe(sol)
-    rng = np.random.default_rng(args.seed)
-    points = cf.sample_points(rng, args.points)
+    points = cf.sample_points(random.Random(args.seed), args.points)
     eigs = kahler_ricci_eigenvalues(cf, points)
     target = 4.0 * args.a * args.a
     deviation = kahler_ricci_deviation(eigs, args.a)
@@ -217,16 +215,13 @@ def cmd_kahler(args):
 def cmd_theorem1(args):
     """Conclusions at --points points drawn with --seed; the hypotheses at
     assemble_N5's 10 fixed points, whatever --points and --seed say."""
-    import numpy as np
-
     from .bundle import (TORSION_NORM_TOL, assemble_N5, strominger_check,
                          theorem1_passed)
     from .liouville import solve_liouville
 
     sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
     bundle = assemble_N5(sol)
-    rng = np.random.default_rng(args.seed)
-    points = bundle.total.sample_points(rng, args.points)
+    points = bundle.total.sample_points(random.Random(args.seed), args.points)
     rep = strominger_check(bundle, points)
     return {
         "command": "theorem1",
@@ -319,8 +314,6 @@ def _selftest_items():
     yield "misplaced calibration detected", not bad.cocalibrated, str(
         bad.cocalibration_residual)
 
-    import numpy as np
-
     from .bundle import (assemble_N5, kahler_coframe, kahler_ricci_deviation,
                          kahler_ricci_eigenvalues, strominger_check,
                          theorem1_passed)
@@ -328,14 +321,14 @@ def _selftest_items():
 
     sol = solve_liouville(0.5, n=400)
     cf = kahler_coframe(sol)
-    pts = cf.sample_points(np.random.default_rng(1), 5)
+    pts = cf.sample_points(random.Random(1), 5)
     eigs = kahler_ricci_eigenvalues(cf, pts)
     dev = kahler_ricci_deviation(eigs, 0.5)
     yield "Kaehler Ricci spectrum", dev < 1e-6, f"deviation {dev:.2e}"
 
     bundle = assemble_N5(sol)
     srep = strominger_check(bundle, bundle.total.sample_points(
-        np.random.default_rng(2), 5))
+        random.Random(2), 5))
     residuals = {**bundle.hypotheses, **srep.residuals}
     worst = max(residuals, key=lambda k: (math.isnan(residuals[k]), residuals[k]))
     yield ("bundle residual panel", theorem1_passed(bundle.hypotheses, srep, 1e-6),

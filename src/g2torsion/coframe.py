@@ -148,7 +148,8 @@ class CoframeField:
     h: float = 1e-5
 
     def sample_points(self, rng, count):
-        """count points uniform in the middle 80% of each coordinate range."""
+        """count points uniform in the middle 80% of each coordinate range,
+        from rng.random(), such as random.Random(seed)'s."""
         return [np.array([lo + (0.1 + 0.8 * rng.random()) * (hi - lo)
                           for lo, hi in self.domain])
                 for _ in range(count)]

@@ -18,6 +18,14 @@ nearest each end) and u'' at the nodes from the ODE itself, so downstream
 curvature checks see a solution accurate to ~1e-10.  quintic_hermite builds
 its Bernstein coefficients for all intervals in one vectorised step.
 
+The Newton solve depends only on (a, x0, x1, n), so each process keeps the
+last MEMO_SIZE of them, keyed by the frozen LiouvilleConfig: the read-only
+node values, the residual, the iteration count and the residual trace.  A
+failed solve is kept too, so repeating a divergent parameter raises the same
+error without iterating again.  Each solve_liouville call checks the kept
+residual against RESIDUAL_CAP and builds its own slopes, evaluators and
+arrays from the kept nodes, so no two solutions share a writable array.
+
 The layer needs numpy only.  The piecewise Bernstein evaluator and the
 tridiagonal solve repeat the floating-point steps of scipy's BPoly and
 solve_banded((1, 1), ...), so their results agree with scipy's bit for bit;
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -44,6 +52,10 @@ POLISH_BELOW = 1e-6
 NEWTON_TOL = 1e-12
 MAX_ITER = 60
 RESIDUAL_CAP = 1e-10
+
+# Newton solves kept per process: above the 64 (a, grid) keys a bundle-stream
+# block cycles through; an entry holds n + 1 floats and a residual trace.
+MEMO_SIZE = 128
 
 
 class Bernstein:
@@ -191,19 +203,22 @@ def _residual(u, x, h, coeff):
     return r
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _newton_solve(cfg: LiouvilleConfig):
     """Solve Numerov's system on cfg.n intervals from u = 0.
 
-    Returns (grid, u, res, iters, trace), trace being the residual max-norm
-    before the first and after every Newton step.
+    Returns (u, norm, iters, trace): the float64 node values (read-only),
+    the final residual max-norm, the Newton step count and the residual
+    max-norm before the first and after every Newton step.  A solve that
+    does not converge returns too; solve_liouville judges it.
 
     Two phases.  Damped float64 Newton steps run until the residual is below
     POLISH_BELOW (or NEWTON_TOL, MAX_ITER, or a step the line search cannot
     make descend); then at most four Newton steps with a long-double residual
     take it to NEWTON_TOL, which a float64 residual cannot reach: second
-    differences of O(1) values divided by h^2 bottom out at ~eps/h^2.  Raises
-    if the final residual still exceeds RESIDUAL_CAP.  A Newton matrix with a
-    zero or non-finite pivot ends either phase like a rejected step.
+    differences of O(1) values divided by h^2 bottom out at ~eps/h^2.  A
+    Newton matrix with a zero or non-finite pivot ends either phase like a
+    rejected step.
     """
     n = cfg.n
     x = np.linspace(cfg.x0, cfg.x1, n + 1)
@@ -270,12 +285,9 @@ def _newton_solve(cfg: LiouvilleConfig):
                 break
             ul[1:-1] += step
             iters += 1
-    if not np.isfinite(norm) or norm > RESIDUAL_CAP:
-        raise RuntimeError(
-            f"Newton did not converge: residual {norm:.3e} after {iters} "
-            f"iterations (cap {RESIDUAL_CAP:.1e}); trace "
-            + " -> ".join(f"{t:.2e}" for t in trace))
-    return x, ul, norm, iters, tuple(trace)
+    u = ul.astype(float)
+    u.flags.writeable = False      # one kept array serves every caller
+    return u, norm, iters, tuple(trace)
 
 
 def quintic_hermite(x, y, dy, d2y) -> Bernstein:
@@ -346,11 +358,18 @@ def solve_liouville(a, domain=(1.0, 2.0), n=400) -> LiouvilleSolution:
     of the plugged-back Numerov discretization on that grid, and the solver
     raises if it cannot be driven below RESIDUAL_CAP.  The evaluators
     interpolate the nodes with sixth-order slopes and u'' from the ODE.
+    The Newton solve is kept per process (see the module docstring).
     """
     cfg = LiouvilleConfig(a=float(a), x0=float(domain[0]), x1=float(domain[1]),
                           n=n)
-    x, ul, norm, iters, trace = _newton_solve(cfg)
-    u = ul.astype(float)
+    u, norm, iters, trace = _newton_solve(cfg)
+    if not np.isfinite(norm) or norm > RESIDUAL_CAP:
+        raise RuntimeError(
+            f"Newton did not converge: residual {norm:.3e} after {iters} "
+            f"iterations (cap {RESIDUAL_CAP:.1e}); trace "
+            + " -> ".join(f"{t:.2e}" for t in trace))
+    x = np.linspace(cfg.x0, cfg.x1, cfg.n + 1)
+    u = u.copy()
     du = _node_slopes(u, (cfg.x1 - cfg.x0) / cfg.n)
     d2u = -8.0 * cfg.a ** 2 * x * np.exp(u)   # ODE-consistent
     poly = quintic_hermite(x, u, du, d2u)
