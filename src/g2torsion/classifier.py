@@ -620,12 +620,12 @@ def omega2_forms():
 
 
 def parallel_form_d(omega, torsion):
-    """d of a parallel form on the reduced frame:
-    d Omega = sum_j (f_j hook Omega) ^ (f_j hook T)."""
-    out = Form.zero(7)
-    for e in F_TO_E:
-        out = out + omega.hook_basis(e).wedge(torsion.hook_basis(e))
-    return out
+    """d of a parallel form on the reduced frame,
+    d Omega = sum_j (f_j hook Omega) ^ (f_j hook T): the derivation sending
+    f_j to f_j hook T and e_1, e_2 to 0 (Form.derivation)."""
+    zero = Form.zero(7)
+    return omega.derivation([torsion.hook_basis(e) if e in F_TO_E else zero
+                             for e in range(1, 8)])
 
 
 def lie_flow_theta3(omega, torsion):

@@ -73,8 +73,11 @@ def emit(payload: dict, args) -> None:
     rendered = exact_json(payload)
     text = json.dumps(rendered, sort_keys=True, indent=2)
     if args.report_path:
-        with open(args.report_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.report_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write report {args.report_path}: {exc.strerror}") from exc
     try:
         print(text if args.fmt == "json" else "\n".join(_render_text(rendered)), flush=True)
     except BrokenPipeError:     # the reader closed stdout, as `| head` does
@@ -468,9 +471,12 @@ def main(argv=None) -> int:
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        emit({"command": args.command, "error": str(exc), "passed": False}, args)
-        return 1
-    emit(payload, args)
+        payload = {"command": args.command, "error": str(exc), "passed": False}
+    try:
+        emit(payload, args)
+    except ValueError as exc:     # an unwritable --report path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if payload["passed"] else 1
 
 

@@ -2,7 +2,9 @@
 
 A k-form is stored as a dict mapping strictly increasing 1-based index tuples
 to rational coefficients.  All operations (wedge, interior product, Hodge
-star, inner product, sigma two-step contraction) are exact over Q.
+star, inner product) are exact over Q.  One index walk, `Form.derivation`,
+carries every derivation: the hook by a vector, sigma and, in `liegroup` and
+`classifier`, the invariant d, nabla of forms and the parallel-form d.
 
 Conventions fixed here and used throughout the package:
 
@@ -11,6 +13,8 @@ Conventions fixed here and used throughout the package:
   of i inside I;
 * Hodge star:  alpha ^ (*beta) = <alpha, beta> vol  for k-forms alpha, beta,
   with vol = e_1 ^ ... ^ e_n;
+* a derivation of degree p sends each e_i to a (p+1)-form D e_i and obeys
+  D(a ^ b) = Da ^ b + (-1)^(p deg a) a ^ Db;
 * the basis (e_I) is orthonormal: <e_I, e_J> = delta_IJ.
 """
 
@@ -83,6 +87,14 @@ class Form:
     def basis(cls, n, *indices):
         return cls(n, {tuple(indices): ONE})
 
+    @classmethod
+    def _raw(cls, n, coeffs):
+        """A form from sorted indices and nonzero coefficients, unchecked."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.coeffs = coeffs
+        return out
+
     # ---------------- basic structure ----------------
 
     def degrees(self):
@@ -119,10 +131,7 @@ class Form:
             acc[i] = acc.get(i, ZERO) + c
             if acc[i] == 0:
                 del acc[i]
-        out = Form.__new__(Form)
-        out.n = self.n
-        out.coeffs = acc
-        return out
+        return Form._raw(self.n, acc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,10 +141,7 @@ class Form:
 
     def scale(self, c):
         c = frac(c)
-        out = Form.__new__(Form)
-        out.n = self.n
-        out.coeffs = {} if c == 0 else {i: c * v for i, v in self.coeffs.items()}
-        return out
+        return Form._raw(self.n, {} if c == 0 else {i: c * v for i, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -167,10 +173,7 @@ class Form:
                 acc[merged] = acc.get(merged, ZERO) + sign * ci * cj
                 if acc[merged] == 0:
                     del acc[merged]
-        out = Form.__new__(Form)
-        out.n = self.n
-        out.coeffs = acc
-        return out
+        return Form._raw(self.n, acc)
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -187,21 +190,40 @@ class Form:
             acc[rest] = acc.get(rest, ZERO) + sign * c
             if acc[rest] == 0:
                 del acc[rest]
-        out = Form.__new__(Form)
-        out.n = self.n
-        out.coeffs = acc
-        return out
+        return Form._raw(self.n, acc)
 
     def hook(self, vector):
-        """Interior product by a vector given as length-n rational coordinates."""
+        """Interior product by a frame index or by a vector given as length-n
+        rational coordinates x: the derivation sending e_j to the 0-form x_j."""
         if isinstance(vector, int):
             return self.hook_basis(vector)
-        out = Form.zero(self.n)
-        for i, x in enumerate(vector, start=1):
-            x = frac(x)
-            if x:
-                out = out + self.hook_basis(i).scale(x)
-        return out
+        return self.derivation([Form._raw(self.n, {(): x} if x else {})
+                                for x in map(frac, vector)])
+
+    def derivation(self, images):
+        """The derivation sending each e_i to the form images[i - 1].
+
+        The images share one degree p + 1.  In each monomial the index at
+        position s is replaced in place by the terms of its image, with sign
+        (-1)^(s p), and each substituted index tuple is sorted as it is made.
+        """
+        if len(images) != self.n:
+            raise ValueError(f"{len(images)} derivation images for R^{self.n}")
+        images = [image.coeffs for image in images]
+        degrees = {len(ab) for image in images for ab in image}
+        if len(degrees) > 1:
+            raise ValueError(f"derivation images of mixed degrees {sorted(degrees)}")
+        p_odd = bool(degrees) and degrees.pop() % 2 == 0
+        acc = {}
+        for idx, coeff in self.coeffs.items():
+            for s, i in enumerate(idx):
+                if images[i - 1]:
+                    c = -coeff if p_odd and s % 2 else coeff
+                    for ab, v in images[i - 1].items():
+                        key, sign = sort_index(idx[:s] + ab + idx[s + 1:])
+                        if sign:
+                            acc[key] = acc.get(key, ZERO) + (c * v if sign > 0 else -c * v)
+        return Form._raw(self.n, {key: c for key, c in acc.items() if c})
 
     def hodge(self):
         """Hodge star for the standard orientation and orthonormal frame."""
@@ -212,10 +234,7 @@ class Form:
             comp = tuple(i for i in full if i not in idx)
             _, sign = sort_index(idx + comp)
             acc[comp] = acc.get(comp, ZERO) + sign * c
-        out = Form.__new__(Form)
-        out.n = self.n
-        out.coeffs = acc
-        return out
+        return Form._raw(self.n, acc)
 
     def inner(self, other):
         """Pointwise inner product, orthonormal-basis convention."""
@@ -242,11 +261,10 @@ class Form:
     # ---------------- composite operators ----------------
 
     def sigma(self):
-        """The quadratic two-step contraction (1/2) sum_i (e_i . T)^(e_i . T)."""
-        acc = Form.zero(self.n)
-        for p in (self.hook_basis(i) for i in range(1, self.n + 1)):
-            acc = acc + p.wedge(p)
-        return acc.scale(Fraction(1, 2))
+        """(1/2) sum_i (e_i . T)^(e_i . T) for a homogeneous form T: half the
+        derivation sending e_i to e_i . T, applied to T."""
+        images = [self.hook_basis(i) for i in range(1, self.n + 1)]
+        return self.derivation(images).scale(Fraction(1, 2))
 
     # ---------------- presentation ----------------
 

@@ -32,7 +32,6 @@ from .linalg import frac, parse_rational
 from .spin import standard_rep
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -103,28 +102,20 @@ class LieAlgebraData:
     # ---------------- invariant calculus ----------------
 
     def ce_d(self, form):
-        """Invariant exterior derivative (Chevalley-Eilenberg differential), each
-        d theta^i expanded in place into index tuples that one Form sorts."""
+        """Invariant exterior derivative (Chevalley-Eilenberg differential): the
+        derivation of degree 1 sending theta^k to d theta^k (Form.derivation)."""
         if form.n != self.n:
             raise ValueError("form frame dimension does not match the algebra")
-        d_basis = self._d_basis
-        acc = {}
-        for idx, coeff in form.coeffs.items():
-            for t, i in enumerate(idx):
-                c = -coeff if t % 2 else coeff
-                for ab, v in d_basis[i - 1].items():
-                    key = idx[:t] + ab + idx[t + 1:]
-                    acc[key] = acc.get(key, ZERO) + c * v
-        return Form(self.n, acc)
+        return form.derivation(self._d_basis)
 
     @cached_property
     def _d_basis(self):
-        """d theta^k = -sum_{i<j} c^k_{ij} theta^{ij}, as {(i, j): coeff} per k."""
+        """d theta^k = -sum_{i<j} c^k_{ij} theta^{ij}, one Form per k."""
         basis = [{} for _ in range(self.n)]
         for ij, comp in self.structure.items():
             for k, v in comp.items():
                 basis[k - 1][ij] = -v
-        return basis
+        return [Form(self.n, b) for b in basis]
 
     def cartan_three_form(self):
         """The 3-form <[X, Y], Z> of the algebra.
@@ -150,15 +141,12 @@ class LieAlgebraData:
         return form
 
     def lie_derivative(self, x, form):
-        """Lie derivative along the invariant field with coordinates x.
+        """Lie derivative along the invariant field x, a frame index or
+        coordinates as Form.hook takes them.
 
         Cartan formula: L_X = d (X hook .) + X hook d.
         """
-        if isinstance(x, int):
-            coords = [ONE if i == x else ZERO for i in range(1, self.n + 1)]
-        else:
-            coords = [frac(v) for v in x]
-        return self.ce_d(form.hook(coords)) + self.ce_d(form).hook(coords)
+        return self.ce_d(form.hook(x)) + self.ce_d(form).hook(x)
 
 
 @dataclass(frozen=True)
@@ -204,8 +192,11 @@ class InvariantConnection:
     # ---------------- derivatives of tensors ----------------
 
     def nabla_form(self, i, form):
-        """Covariant derivative of an invariant form along e_i."""
-        return endo_derivation(self.matrix(i), form).scale(-1)
+        """Covariant derivative of an invariant form along e_i: the derivation
+        of degree 0 sending e_l to -sum_j Gamma_{ijl} e_j (Form.derivation)."""
+        g, n = self.gamma[i - 1], self.n
+        return form.derivation([Form(n, {(j + 1,): -g[j][l] for j in range(n) if g[j][l]})
+                                for l in range(n)])
 
     def parallel_spinors(self):
         """Basis of constant spinors with nabla psi = 0 (dimension 7).
@@ -397,22 +388,6 @@ def parallel_fields(conn):
                 "parallel field violates d theta = theta hook T — connection data inconsistent"
             )
     return kernel
-
-
-def endo_derivation(m, form):
-    """Extension of an endomorphism to a derivation of the exterior algebra.
-
-    For a k-form a:  (L_M a)(Y_1, .., Y_k) = sum_s a(Y_1, .., M Y_s, .., Y_k).
-    """
-    n = form.n
-    out = Form.zero(n)
-    for l in range(1, n + 1):
-        hooked = form.hook_basis(l)
-        if hooked.is_zero():
-            continue
-        cov = Form(n, {(j,): m[l - 1][j - 1] for j in range(1, n + 1)})
-        out = out + cov.wedge(hooked)
-    return out
 
 
 def integrability_residual(conn, spinors):

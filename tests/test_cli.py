@@ -560,6 +560,20 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, where):
+    """A --report path that cannot be opened for writing exits 2 with one
+    error line, no traceback and nothing on stdout."""
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code = main(["values", "--mu", "1", "--report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write report {path}: ")
+
+
 def test_json_output_is_deterministic(capsys):
     main(["values", "--mu", "7", "--format", "json"])
     first = capsys.readouterr().out

@@ -100,6 +100,41 @@ def test_evaluate_agrees_with_hooks(alpha, x):
     assert alpha.evaluate(x, e2, e5) == hooked.coeffs.get((), Fraction(0))
 
 
+def derivation_case(n):
+    """n, images of one degree q = p + 1 in 0..2, and two forms of degree
+    0..3 for the Leibniz rule."""
+    return st.integers(0, 2).flatmap(lambda q: st.tuples(
+        st.just(n), st.just(q - 1),
+        st.lists(forms(n, q, max_terms=3), min_size=n, max_size=n),
+        st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a), forms(n, a))),
+        st.integers(0, 3).flatmap(lambda b: forms(n, b))))
+
+
+@given(derivation_case(5))
+def test_derivation_sends_each_covector_to_its_image(case):
+    n, _, images, _, _ = case
+    for i in range(1, n + 1):
+        assert Form.basis(n, i).derivation(images) == images[i - 1]
+
+
+@given(derivation_case(5))
+def test_derivation_obeys_graded_leibniz_rule(case):
+    """D(a ^ b) = Da ^ b + (-1)^(p deg a) a ^ Db for a derivation of degree p."""
+    n, p, images, (deg, alpha), beta = case
+    sign = -1 if p * deg % 2 else 1
+    lhs = alpha.wedge(beta).derivation(images)
+    rhs = alpha.derivation(images).wedge(beta) + alpha.wedge(beta.derivation(images)).scale(sign)
+    assert lhs == rhs
+
+
+def test_derivation_rejects_mixed_image_degrees_and_wrong_count():
+    images = [Form.basis(3, 1), Form.basis(3, 1, 2), Form.zero(3)]
+    with pytest.raises(ValueError, match="mixed degrees"):
+        Form.basis(3, 2).derivation(images)
+    with pytest.raises(ValueError, match="2 derivation images for R\\^3"):
+        Form.basis(3, 2).derivation(images[:2])
+
+
 def test_sigma_of_simple_form_is_zero():
     t = Form(7, {(1, 2, 7): Fraction(5)})
     assert t.sigma().is_zero()

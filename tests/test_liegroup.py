@@ -22,7 +22,8 @@ from g2torsion.g2 import char_torsion, standard_omega3, standard_omega4
 from g2torsion.spin import standard_rep
 
 from .util import (forms, is_metric, reference_ce_d, reference_holonomy_dim,
-                   reference_riemann, reference_torsion_tensor, reference_with_torsion)
+                   reference_nabla_form, reference_riemann, reference_torsion_tensor,
+                   reference_with_torsion)
 
 SU2_SLOTTED = lg.su2(2, n=7, slots=(1, 2, 3))
 BUNDLED = lg.su2(Fraction(-7), n=7, slots=(1, 2, 7))
@@ -475,3 +476,23 @@ def test_nonzero_entry_connection_matches_dense_koszul(n):
         assert alg.ce_d(t).coeffs == reference_ce_d(alg, t).coeffs
     if n > 1:
         assert outcomes == {str, dict}      # both branches of the check ran
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nabla_form_matches_slotwise_reference(n):
+    """nabla_{e_i} of a form of mixed degrees equals the slot-by-slot
+    reference along every e_i, on seeded torsion connections of random
+    metric algebras (Jacobi not imposed) and the connections of the named
+    7-dimensional algebras."""
+    rng = random.Random(300 + n)
+    conns = []
+    for _ in range(6):
+        alg = lg.LieAlgebraData(n, random_structure(rng, n), check_jacobi=False)
+        t = random_form(rng, n, [3]) if n >= 3 else Form.zero(n)
+        conns.append(lg.with_torsion(alg, t))
+    if n == 7:
+        conns += [c for alg in (SU2_SLOTTED, BUNDLED, ROTATION) for c in connections_of(alg)]
+    for conn in conns:
+        form = random_form(rng, n, range(n + 1))
+        for i in range(1, n + 1):
+            assert conn.nabla_form(i, form) == reference_nabla_form(conn, i, form)

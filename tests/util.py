@@ -300,6 +300,27 @@ def reference_ce_d(algebra, form):
     return out
 
 
+def reference_nabla_form(conn, i, form):
+    """nabla_{e_i} of an invariant form, slot by slot:
+    (nabla_{e_i} alpha)(e_J) = -sum_s alpha(.., nabla_{e_i} e_{j_s}, ..) with
+    nabla_{e_i} e_j = sum_k Gamma_ijk e_k, each value of alpha read from its
+    sorted coefficient and the inversion parity of the slots."""
+    n = conn.n
+    g = conn.gamma[i - 1]
+
+    def value(slots):
+        if len(set(slots)) < len(slots):
+            return 0
+        return perm_parity(slots) * form.coeffs.get(tuple(sorted(slots)), 0)
+
+    out = {}
+    for k in {len(idx) for idx in form.coeffs}:
+        for J in combinations(range(1, n + 1), k):
+            out[J] = -sum(g[j - 1][m - 1] * value(J[:s] + (m,) + J[s + 1:])
+                          for s, j in enumerate(J) for m in range(1, n + 1))
+    return Form(n, out)
+
+
 def reference_quadric_member(b, mu):
     """Fraction search for (A, B, C, D) with A + D = b + 2mu/7 and
     (A - D)^2 + 4B^2 + 4C^2 = 2mu^2 - (A + D)^2, or None."""
