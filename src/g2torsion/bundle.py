@@ -16,6 +16,10 @@ Everything here is floating-point: hypotheses and conclusions are measured
 as residual maxima over sampled interior points, and ``theorem1_passed``
 judges both in one verdict at one tolerance.  Nothing here raises on a
 failed hypothesis: it is a residual over the tolerance like any conclusion.
+
+The hypotheses on Z^4 depend only on (a, domain, grid), so theorem1_bundle
+keeps their panel per process for each, beside the kept Newton solve;
+assemble_N5 measures them afresh on whatever solution it is given.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,7 +36,8 @@ from .coframe import (CoframeField, connection_coefficients, form_hodge,
                       form_wedge, frame_to_coords, libm, skew_tensor, stencils,
                       torsion_ricci)
 from .forms import basis_indices
-from .liouville import Bernstein, LiouvilleSolution, quintic_hermite
+from .liouville import (MEMO_SIZE, Bernstein, LiouvilleConfig, LiouvilleSolution,
+                        quintic_hermite, solve_liouville)
 
 #: Range of the coordinates y, z, t and of the fiber coordinate s.
 BOX = (-1.0, 1.0)
@@ -191,26 +197,23 @@ def _potential_spline(sol: LiouvilleSolution, a: float) -> Bernstein:
     return quintic_hermite(grid, g, dg, d2g).antiderivative()
 
 
-def assemble_N5(sol: LiouvilleSolution) -> BundleData:
-    """Measure the Theorem-1 hypotheses on Z^4 and build the N^5 coframe.
+def _hypothesis_points(base: CoframeField) -> list:
+    """The 10 fixed points, from random.Random(7), of the hypotheses."""
+    return base.sample_points(random.Random(7), 10)
 
-    The hypotheses are (1)-(4) of hypothesis_panel and (5) the
-    coordinate-line potential satisfies dA = Omega (potential_residual);
-    theorem1_passed judges them.  They are measured at 10 points from
-    random.Random(7), whatever cmd_theorem1's --points and --seed say.  The
-    fiber coordinate is realized as a line; eta = ds + Q(x) dy.
-    """
+
+def _bundle(sol: LiouvilleSolution, base: CoframeField, panel) -> BundleData:
+    """The N^5 bundle over base = kahler_coframe(sol); its hypotheses are a
+    fresh dict of panel, hypothesis_panel's items, and the potential residual
+    of sol's own potential spline, built here once."""
     a = sol.config.a
-    base = kahler_coframe(sol)
-    points = base.sample_points(random.Random(7), 10)
-    hypotheses = hypothesis_panel(base, a, points)
     potential = _potential_spline(sol, a)
     # residual of dA = Omega at the base points: the spline's own dA/dx vs
     # 2 a x e^u (a finite difference would read its own rounding, ~1e-9)
-    x = np.asarray(points, dtype=float)[:, 0]
+    x = np.asarray(_hypothesis_points(base), dtype=float)[:, 0]
     exact = 2.0 * a * x * libm(math.exp, sol.u(x))
-    hypotheses["potential_residual"] = float(
-        np.max(np.abs(potential.derivative()(x) - exact)))
+    hypotheses = dict(panel, potential_residual=float(
+        np.max(np.abs(potential.derivative()(x) - exact))))
 
     def frame5(p):
         x = p[..., 0]
@@ -228,6 +231,44 @@ def assemble_N5(sol: LiouvilleSolution) -> BundleData:
     total = CoframeField(5, base.domain + (BOX,), frame5)
     torsion = _frame_form(5, (1, 2, 5), 2.0 * a)
     return BundleData(a, base, total, torsion, potential, hypotheses, sol)
+
+
+def assemble_N5(sol: LiouvilleSolution) -> BundleData:
+    """Measure the Theorem-1 hypotheses of sol on Z^4 and build the N^5
+    coframe.
+
+    The hypotheses are (1)-(4) of hypothesis_panel and (5) the
+    coordinate-line potential satisfies dA = Omega (potential_residual);
+    theorem1_passed judges them.  They are measured on sol itself, at 10
+    points from random.Random(7).  The fiber coordinate is realized as a
+    line; eta = ds + Q(x) dy.  cmd_theorem1 goes through theorem1_bundle,
+    which keeps hypotheses (1)-(4) per (a, domain, grid).
+    """
+    base = kahler_coframe(sol)
+    return _bundle(sol, base, hypothesis_panel(base, sol.config.a,
+                                               _hypothesis_points(base)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _kept_panel(cfg: LiouvilleConfig) -> tuple:
+    """hypothesis_panel of cfg's solution as a tuple of items, measured on a
+    solve_liouville of its own, never on a caller's solution."""
+    base = kahler_coframe(solve_liouville(cfg.a, (cfg.x0, cfg.x1), cfg.n))
+    return tuple(hypothesis_panel(base, cfg.a, _hypothesis_points(base)).items())
+
+
+def theorem1_bundle(a, domain=(1.0, 2.0), n=400) -> BundleData:
+    """assemble_N5(solve_liouville(a, domain, n)), with hypotheses (1)-(4)
+    kept per process.
+
+    They depend only on (a, domain, n), so the last MEMO_SIZE panels are
+    kept, keyed by the frozen LiouvilleConfig like the Newton solve: seven
+    floats each, handed out as a fresh dict.  The potential spline and
+    potential_residual are built from the request's own solution, once.
+    """
+    sol = solve_liouville(a, domain, n)
+    base = kahler_coframe(sol)
+    return _bundle(sol, base, _kept_panel(sol.config))
 
 
 # ------------------------------------------------------------ conclusions

@@ -217,13 +217,12 @@ def cmd_kahler(args):
 
 def cmd_theorem1(args):
     """Conclusions at --points points drawn with --seed; the hypotheses at
-    assemble_N5's 10 fixed points, whatever --points and --seed say."""
-    from .bundle import (TORSION_NORM_TOL, assemble_N5, strominger_check,
+    assemble_N5's 10 fixed points, whatever --points and --seed say, kept
+    per process for each (a, domain, grid) by theorem1_bundle."""
+    from .bundle import (TORSION_NORM_TOL, strominger_check, theorem1_bundle,
                          theorem1_passed)
-    from .liouville import solve_liouville
 
-    sol = solve_liouville(args.a, domain=args.domain, n=args.grid)
-    bundle = assemble_N5(sol)
+    bundle = theorem1_bundle(args.a, args.domain, args.grid)
     points = bundle.total.sample_points(random.Random(args.seed), args.points)
     rep = strominger_check(bundle, points)
     return {

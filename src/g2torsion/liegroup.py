@@ -209,7 +209,7 @@ class InvariantConnection:
         rows = []
         for g in self.gamma:
             two_form = Form(7, {(k + 1, l + 1): HALF * g[k][l]
-                                for k in range(7) for l in range(k + 1, 7)})
+                                for k in range(7) for l in range(k + 1, 7) if g[k][l]})
             rows.extend(rep.operator(two_form))
         return linalg.nullspace(rows)
 
@@ -380,7 +380,7 @@ def parallel_fields(conn):
         stacked.extend(conn.matrix(i))
     kernel = linalg.nullspace(stacked)
     for v in kernel:
-        theta = Form(n, {(i,): v[i - 1] for i in range(1, n + 1)})
+        theta = Form(n, {(i,): v[i - 1] for i in range(1, n + 1) if v[i - 1]})
         lhs = conn.algebra.ce_d(theta)
         rhs = conn.torsion.hook(v)
         if lhs != rhs:

@@ -278,7 +278,7 @@ def run(algebra: LieAlgebraData, placement=None) -> G2Report:
     if len(kernel) >= 3:
         triple = _parallel_triple(kernel, 7)
         norms = [sum((x * x for x in w), ZERO) for w in triple]
-        theta_f = [Form(7, {(i,): w[i - 1] for i in range(1, 8)})
+        theta_f = [Form(7, {(i,): w[i - 1] for i in range(1, 8) if w[i - 1]})
                    for w in triple]
         vol2 = norms[0] * norms[1] * norms[2]
         w3_val = w3.evaluate(*triple)

@@ -11,9 +11,12 @@ settings.load_profile("thorough")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_newton_memo():
-    """Each test starts without kept Newton solves, so a test that patches
-    liouville internals sees its patch take effect."""
+def _fresh_memos():
+    """Each test starts without kept Newton solves and without kept
+    Theorem-1 hypotheses, so a test that patches liouville, coframe or
+    bundle internals sees its patch take effect."""
+    from g2torsion.bundle import _kept_panel
     from g2torsion.liouville import _newton_solve
 
     _newton_solve.cache_clear()
+    _kept_panel.cache_clear()

@@ -99,6 +99,46 @@ def test_potential_residual_reads_the_spline_not_rounding():
     assert 0.0 < data.hypotheses["potential_residual"] < 1e-11
 
 
+@pytest.mark.parametrize("a, domain, n", [(0.0, (1.0, 2.0), 200), (0.25, (1.0, 2.0), 200),
+                                          (0.53, (1.0, 2.0), 400), (0.3, (0.5, 1.7), 100)])
+def test_kept_hypotheses_equal_a_fresh_measurement(a, domain, n):
+    """theorem1_bundle's hypotheses, on the miss that measures the panel and
+    on the hit that reuses it, are the floats assemble_N5 measures afresh:
+    == on every value, since the payload's 12 digits hide a last-bit drift."""
+    fresh = bd.assemble_N5(solve_liouville(a, domain, n)).hypotheses
+    assert tuple(fresh) == HYPOTHESES + ("potential_residual",)
+    for _ in range(2):
+        kept = bd.theorem1_bundle(a, domain, n).hypotheses
+        assert list(kept.items()) == list(fresh.items())
+    assert bd._kept_panel.cache_info().misses == 1
+
+
+def test_kept_hypotheses_are_a_fresh_dict_per_request():
+    """Writing to one request's hypotheses leaves the next request's alone."""
+    first = bd.theorem1_bundle(0.25, n=200)
+    want = dict(first.hypotheses)
+    first.hypotheses["d_omega"] = 1.0
+    first.hypotheses.clear()
+    assert bd.theorem1_bundle(0.25, n=200).hypotheses == want
+
+
+def test_kept_panel_is_measured_on_its_own_solution(monkeypatch):
+    """theorem1_bundle measures the panel once per (a, domain, n), on a
+    solve of its own; the potential spline is built once per request."""
+    panels, splines = [], []
+    panel, spline = bd.hypothesis_panel, bd._potential_spline
+    monkeypatch.setattr(bd, "hypothesis_panel",
+                        lambda *args: panels.append(None) or panel(*args))
+    monkeypatch.setattr(bd, "_potential_spline",
+                        lambda *args: splines.append(None) or spline(*args))
+    for _ in range(3):
+        bd.theorem1_bundle(0.25, n=200)
+    assert (len(panels), len(splines)) == (1, 3)
+    # assemble_N5 of a given solution never reads the kept panel
+    bd.assemble_N5(SOL)
+    assert (len(panels), len(splines)) == (2, 4)
+
+
 def test_bundle_coframe_shape():
     data = bd.assemble_N5(SOL)
     p = np.array([1.5, 0.1, -0.2, 0.3, 0.0])

@@ -500,6 +500,63 @@ def test_repeated_request_reuses_the_newton_solve(argv, capsys, monkeypatch):
     assert runs[0][3] > 0 and runs[1][3] == 0
 
 
+def test_theorem1_measures_the_hypotheses_once_per_key(capsys, monkeypatch):
+    """Two theorem1 requests with one (a, domain, grid) and different
+    --points/--seed measure the hypothesis panel once."""
+    from g2torsion import bundle
+
+    panel = bundle.hypothesis_panel
+    calls = []
+    monkeypatch.setattr(bundle, "hypothesis_panel",
+                        lambda *args: calls.append(None) or panel(*args))
+    hypotheses = []
+    for points, seed in (("2", "1"), ("3", "5")):
+        code, payload = run_json(capsys, ["theorem1", "--a", "0.3", "--grid", "200",
+                                          "--points", points, "--seed", seed])
+        assert code == 0
+        hypotheses.append(payload["hypotheses"])
+    assert len(calls) == 1
+    assert hypotheses[0] == hypotheses[1]
+
+
+@pytest.mark.parametrize("before, argv", [
+    (["--a=0"], ["--a=-0.0"]),
+    (["--a", "0.3", "--seed", "1"], ["--a", "0.3", "--seed", "2"]),
+], ids=["negative-zero-after-zero", "other-seed"])
+def test_kept_hypotheses_print_the_bytes_of_a_fresh_request(before, argv, capsys):
+    """A request answered from the kept hypotheses prints what it prints
+    with every memo cleared; -0.0 and 0 are one key."""
+    from g2torsion.bundle import _kept_panel
+    from g2torsion.liouville import _newton_solve
+
+    common = ["theorem1", "--grid", "200", "--points", "2"]
+    runs = []
+    for fmt in ("json", "text"):
+        _kept_panel.cache_clear()
+        main(common + before + ["--format", fmt])
+        capsys.readouterr()
+        hit = (main(common + argv + ["--format", fmt]), capsys.readouterr())
+        assert _kept_panel.cache_info().hits == 1
+        _kept_panel.cache_clear()
+        _newton_solve.cache_clear()
+        fresh = (main(common + argv + ["--format", fmt]), capsys.readouterr())
+        assert _kept_panel.cache_info().hits == 0
+        assert hit == fresh
+        runs.append(hit[1].out)
+    assert json.loads(runs[0])["passed"] is True
+
+
+def test_divergent_request_fails_beside_kept_hypotheses(capsys):
+    """A divergent a keeps no hypotheses and exits 1 every time, also after
+    a convergent request on the same grid."""
+    assert main(["theorem1", "--a", "0.3", "--grid", "200", "--points", "1"]) == 0
+    for _ in range(2):
+        assert main(["theorem1", "--a", "0.9", "--grid", "200", "--points", "1"]) == 1
+        assert "Newton did not converge" in capsys.readouterr().err
+    from g2torsion.bundle import _kept_panel
+    assert _kept_panel.cache_info().currsize == 1
+
+
 def test_kept_solve_hands_out_fresh_arrays():
     """Writing to one solution's arrays leaves the next solve unchanged."""
     import numpy as np
