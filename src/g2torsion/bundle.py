@@ -17,9 +17,10 @@ as residual maxima over sampled interior points, and ``theorem1_passed``
 judges both in one verdict at one tolerance.  Nothing here raises on a
 failed hypothesis: it is a residual over the tolerance like any conclusion.
 
-The hypotheses on Z^4 depend only on (a, domain, grid), so theorem1_bundle
-keeps their panel per process for each, beside the kept Newton solve;
-assemble_N5 measures them afresh on whatever solution it is given.
+The five hypotheses depend only on (a, domain, grid), so theorem1_bundle
+keeps them per process for each, beside the kept Newton solve; assemble_N5
+measures them afresh on whatever solution it is given.  The potential Q is a
+quintic spline antiderivative built from the Liouville solution's own nodes.
 """
 
 from __future__ import annotations
@@ -180,40 +181,41 @@ class BundleData:
 
 
 def _potential_spline(sol: LiouvilleSolution, a: float) -> Bernstein:
-    """Antiderivative Q(x) of 2 a x e^u by coordinate-line integration.
+    """Antiderivative Q(x) of g = 2 a x e^u by coordinate-line integration.
 
-    The integrand and its first two derivatives are closed-form in
-    (u, u', u''), so a quintic interpolant integrates it to near machine
-    precision and evaluates in constant time.
+    g, g' and g'' are closed-form in (u, u', u'') at the solution's own n + 1
+    nodes: the node values, the evaluator's slopes there and u'' from the ODE.
+    A quintic Hermite interpolant of g on that grid errs by O(h^6) per cell,
+    below rounding, so its antiderivative is Q to near machine precision and
+    evaluates in constant time.
     """
-    grid = np.linspace(sol.config.x0, sol.config.x1, 2 * sol.config.n + 1)
-    u = sol.u(grid)
-    du = sol.du(grid)
-    d2u = sol.d2u(grid)
+    x, u = sol.grid, sol.values
+    du = sol.du(x)
     eu = np.exp(u)
-    g = 2.0 * a * grid * eu
-    dg = 2.0 * a * eu * (1.0 + grid * du)
-    d2g = 2.0 * a * eu * (du * (1.0 + grid * du) + du + grid * d2u)
-    return quintic_hermite(grid, g, dg, d2g).antiderivative()
+    d2u = -8.0 * a ** 2 * x * eu
+    g = 2.0 * a * x * eu
+    dg = 2.0 * a * eu * (1.0 + x * du)
+    d2g = 2.0 * a * eu * (du * (1.0 + x * du) + du + x * d2u)
+    return quintic_hermite(x, g, dg, d2g).antiderivative()
 
 
-def _hypothesis_points(base: CoframeField) -> list:
-    """The 10 fixed points, from random.Random(7), of the hypotheses."""
-    return base.sample_points(random.Random(7), 10)
-
-
-def _bundle(sol: LiouvilleSolution, base: CoframeField, panel) -> BundleData:
-    """The N^5 bundle over base = kahler_coframe(sol); its hypotheses are a
-    fresh dict of panel, hypothesis_panel's items, and the potential residual
-    of sol's own potential spline, built here once."""
+def _hypotheses(sol: LiouvilleSolution, base: CoframeField, potential) -> dict:
+    """Hypotheses (1)-(5) of sol at 10 fixed points, from random.Random(7):
+    hypothesis_panel on base = kahler_coframe(sol), then potential_residual,
+    the potential spline's own dQ/dx against 2 a x e^u (a finite difference
+    would read its own rounding, ~1e-9)."""
     a = sol.config.a
-    potential = _potential_spline(sol, a)
-    # residual of dA = Omega at the base points: the spline's own dA/dx vs
-    # 2 a x e^u (a finite difference would read its own rounding, ~1e-9)
-    x = np.asarray(_hypothesis_points(base), dtype=float)[:, 0]
+    points = base.sample_points(random.Random(7), 10)
+    x = np.asarray(points, dtype=float)[:, 0]
     exact = 2.0 * a * x * libm(math.exp, sol.u(x))
-    hypotheses = dict(panel, potential_residual=float(
+    return dict(hypothesis_panel(base, a, points), potential_residual=float(
         np.max(np.abs(potential.derivative()(x) - exact))))
+
+
+def _bundle(sol: LiouvilleSolution, base: CoframeField, potential,
+            hypotheses: dict) -> BundleData:
+    """The N^5 bundle over base = kahler_coframe(sol); eta = ds + potential dy."""
+    a = sol.config.a
 
     def frame5(p):
         x = p[..., 0]
@@ -234,41 +236,39 @@ def _bundle(sol: LiouvilleSolution, base: CoframeField, panel) -> BundleData:
 
 
 def assemble_N5(sol: LiouvilleSolution) -> BundleData:
-    """Measure the Theorem-1 hypotheses of sol on Z^4 and build the N^5
-    coframe.
+    """Measure the Theorem-1 hypotheses of sol and build the N^5 coframe.
 
-    The hypotheses are (1)-(4) of hypothesis_panel and (5) the
+    The hypotheses are (1)-(4) of hypothesis_panel on Z^4 and (5) the
     coordinate-line potential satisfies dA = Omega (potential_residual);
     theorem1_passed judges them.  They are measured on sol itself, at 10
-    points from random.Random(7).  The fiber coordinate is realized as a
-    line; eta = ds + Q(x) dy.  cmd_theorem1 goes through theorem1_bundle,
-    which keeps hypotheses (1)-(4) per (a, domain, grid).
+    points from random.Random(7), with the one potential spline that also
+    gives eta = ds + Q(x) dy; the fiber coordinate is realized as a line.
     """
     base = kahler_coframe(sol)
-    return _bundle(sol, base, hypothesis_panel(base, sol.config.a,
-                                               _hypothesis_points(base)))
+    potential = _potential_spline(sol, sol.config.a)
+    return _bundle(sol, base, potential, _hypotheses(sol, base, potential))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _kept_panel(cfg: LiouvilleConfig) -> tuple:
-    """hypothesis_panel of cfg's solution as a tuple of items, measured on a
-    solve_liouville of its own, never on a caller's solution."""
-    base = kahler_coframe(solve_liouville(cfg.a, (cfg.x0, cfg.x1), cfg.n))
-    return tuple(hypothesis_panel(base, cfg.a, _hypothesis_points(base)).items())
+    """assemble_N5's five hypotheses of cfg's solution as a tuple of items,
+    measured on a solve_liouville of its own, never on a caller's solution."""
+    sol = solve_liouville(cfg.a, (cfg.x0, cfg.x1), cfg.n)
+    return tuple(assemble_N5(sol).hypotheses.items())
 
 
 def theorem1_bundle(a, domain=(1.0, 2.0), n=400) -> BundleData:
-    """assemble_N5(solve_liouville(a, domain, n)), with hypotheses (1)-(4)
-    kept per process.
+    """assemble_N5(solve_liouville(a, domain, n)), with its hypotheses kept
+    per process.
 
-    They depend only on (a, domain, n), so the last MEMO_SIZE panels are
-    kept, keyed by the frozen LiouvilleConfig like the Newton solve: seven
-    floats each, handed out as a fresh dict.  The potential spline and
-    potential_residual are built from the request's own solution, once.
+    All five depend only on (a, domain, n), so the last MEMO_SIZE records are
+    kept, keyed by the frozen LiouvilleConfig like the Newton solve: eight
+    floats each, handed out as a fresh dict.  Each request builds its own
+    potential spline, for eta only.
     """
     sol = solve_liouville(a, domain, n)
-    base = kahler_coframe(sol)
-    return _bundle(sol, base, _kept_panel(sol.config))
+    return _bundle(sol, kahler_coframe(sol), _potential_spline(sol, sol.config.a),
+                   dict(_kept_panel(sol.config)))
 
 
 # ------------------------------------------------------------ conclusions

@@ -216,8 +216,8 @@ def cmd_kahler(args):
 
 
 def cmd_theorem1(args):
-    """Conclusions at --points points drawn with --seed; the hypotheses at
-    assemble_N5's 10 fixed points, whatever --points and --seed say, kept
+    """Conclusions at --points points drawn with --seed; all five hypotheses
+    at assemble_N5's 10 fixed points, whatever --points and --seed say, kept
     per process for each (a, domain, grid) by theorem1_bundle."""
     from .bundle import (TORSION_NORM_TOL, strominger_check, theorem1_bundle,
                          theorem1_passed)

@@ -123,20 +123,33 @@ def test_kept_hypotheses_are_a_fresh_dict_per_request():
 
 
 def test_kept_panel_is_measured_on_its_own_solution(monkeypatch):
-    """theorem1_bundle measures the panel once per (a, domain, n), on a
-    solve of its own; the potential spline is built once per request."""
-    panels, splines = [], []
-    panel, spline = bd.hypothesis_panel, bd._potential_spline
-    monkeypatch.setattr(bd, "hypothesis_panel",
-                        lambda *args: panels.append(None) or panel(*args))
+    """theorem1_bundle measures all five hypotheses once per (a, domain, n),
+    on a solve of its own; it builds one potential spline per request, for
+    eta, and the miss one more for its own measurement."""
+    measured, splines = [], []
+    hypotheses, spline = bd._hypotheses, bd._potential_spline
+    monkeypatch.setattr(bd, "_hypotheses",
+                        lambda *args: measured.append(args[0]) or hypotheses(*args))
     monkeypatch.setattr(bd, "_potential_spline",
                         lambda *args: splines.append(None) or spline(*args))
-    for _ in range(3):
-        bd.theorem1_bundle(0.25, n=200)
-    assert (len(panels), len(splines)) == (1, 3)
-    # assemble_N5 of a given solution never reads the kept panel
+    requests = [bd.theorem1_bundle(0.25, n=200) for _ in range(3)]
+    assert (len(measured), len(splines)) == (1, 4)
+    assert all(measured[0] is not data.solution for data in requests)
+    # assemble_N5 of a given solution measures its own, once
     bd.assemble_N5(SOL)
-    assert (len(panels), len(splines)) == (2, 4)
+    assert (len(measured), len(splines)) == (2, 5)
+    assert measured[1] is SOL
+
+
+def test_potential_is_smooth_across_the_chart():
+    """||T||^2 reads d eta by a central difference, which a jump in Q'' would
+    throw across a node.  At the heaviest key the torsion norm stays within a
+    tenth of its bound along 2,001 x values through the whole chart; the
+    closed form Q = (u'(x0) - u')/(4a), only C^2, reads about 1.1e-8 here."""
+    data = bd.theorem1_bundle(0.45, (1.0, 2.0), 1600)
+    points = [np.array([x, 0.1, -0.2, 0.3, 0.05]) for x in np.linspace(1.02, 1.98, 2001)]
+    report = bd.strominger_check(data, points)
+    assert report.residuals["torsion_norm"] <= bd.TORSION_NORM_TOL / 10
 
 
 def test_bundle_coframe_shape():

@@ -13,6 +13,7 @@ name it never uses.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -278,12 +279,7 @@ def test_no_module_imports_an_unused_name():
     assert unused_imports() == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["eigen_family_survey.py", "--count", "2"],
-    ["reconstruction_demo.py"],
-    ["bundle_sweep.py", "--values", "0.3", "--grid", "100", "--points", "2"],
-])
-def test_script_runs(argv):
+def _run_script(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -291,7 +287,34 @@ def test_script_runs(argv):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen_family_survey.py", "--count", "2"],
+    ["reconstruction_demo.py"],
+    ["bundle_sweep.py", "--values", "0.3", "--grid", "100", "--points", "2"],
+])
+def test_script_runs(argv):
+    stdout = _run_script(argv)
+    assert stdout
     if "--points" in argv:          # the sweep checks as many points as asked
         count = argv[argv.index("--points") + 1]
-        assert f"residuals are maxima over {count} sample points" in proc.stdout
+        assert f"residuals are maxima over {count} sample points" in stdout
+
+
+def test_bundle_sweep_row_repeats_theorem1(capsys):
+    """The sweep draws its points as theorem1 --seed does, so its row for a
+    parameter prints theorem1's residuals and max |R| to the digits shown."""
+    from g2torsion.cli import main
+
+    lines = _run_script(["bundle_sweep.py", "--values", "0.3", "--grid", "100",
+                         "--points", "2", "--seed", "5"]).splitlines()
+    names = lines[0].split()[2:-1]
+    row = lines[2].split()
+    assert row[0] == "0.3" and len(row) == len(names) + 3
+    assert main(["theorem1", "--a", "0.3", "--grid", "100", "--points", "2",
+                 "--seed", "5", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = [f"{float(payload['residuals'][k]):.3e}" for k in names]
+    assert row[2:] == want + [f"{float(payload['max_r_nabla']):.3e}"]
