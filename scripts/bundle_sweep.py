@@ -41,13 +41,15 @@ def main():
         # the points theorem1 --seed draws, so a row repeats its residuals
         points = data.total.sample_points(random.Random(args.seed), args.points)
         rep = bd.strominger_check(data, points=points)
+        widths = [max(13, len(c)) for c in rep.residuals]
         if head is None:
             head = f"{'a':>5} {'solver':>9} " \
-                + " ".join(f"{c:>13}" for c in rep.residuals) + f" {'max|R|':>9}"
+                + " ".join(f"{c:>{w}}" for c, w in zip(rep.residuals, widths)) \
+                + f" {'max|R|':>9}"
             print(head)
             print("-" * len(head))
         row = f"{a:>5} {sol.residual_norm:>9.2e} " \
-            + " ".join(f"{v:>13.3e}" for v in rep.residuals.values()) \
+            + " ".join(f"{v:>{w}.3e}" for v, w in zip(rep.residuals.values(), widths)) \
             + f" {rep.max_r_nabla:>9.3e}"
         print(row)
         mu2 = (2.0 * a) ** 2

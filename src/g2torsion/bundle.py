@@ -16,6 +16,8 @@ Everything here is floating-point: hypotheses and conclusions are measured
 as residual maxima over sampled interior points, and ``theorem1_passed``
 judges both in one verdict at one tolerance.  Nothing here raises on a
 failed hypothesis: it is a residual over the tolerance like any conclusion.
+d of the frame-constant forms is read from the structure functions, so the
+closed-form jacobians are held to a central difference (jacobian_residual).
 
 The five hypotheses depend only on (a, domain, grid), so theorem1_bundle
 keeps them per process for each, beside the kept Newton solve; assemble_N5
@@ -34,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .coframe import (CoframeField, connection_coefficients, form_hodge,
-                      form_wedge, frame_to_coords, libm, skew_tensor, stencils,
+                      form_wedge, frame_d, libm, skew_tensor, stencils,
                       torsion_ricci)
 from .forms import basis_indices
 from .liouville import (MEMO_SIZE, Bernstein, LiouvilleConfig, LiouvilleSolution,
@@ -143,19 +145,20 @@ def hypothesis_panel(cf: CoframeField, a: float, points) -> dict:
     (3) Omega = 2a f^1 wedge f^2 on the identified F^2 (snap deviation);
     (4) Ric = 4a^2 Id on F^2 and 0 on E^2.
 
-    d and curvature read one stencil per chunk, at the coframe's step."""
+    d of the frame-constant Omega and *Omega is frame_d of the structure
+    functions; curvature reads one stencil per chunk, at the coframe's step."""
     omega_frame = _frame_form(4, (1, 2), 2.0 * a)
     star_frame = form_hodge(omega_frame, 4, 2)
+    wedge = form_wedge(omega_frame, omega_frame, 4, 2, 2)
     snap_target = np.diag([1.0, 1.0, 0.0, 0.0])
     chunks = []
     for st in stencils(cf, points):
-        omega = frame_to_coords(omega_frame, st.a, 2)
+        c = st.c[:, 0]
         ric = st.curvature().ric
         # at a = 0, Omega = 0 holds on every F^2 and Ric cannot pick one
         snap = 0.0 if a == 0 else _f2_projector(ric, 4.0 * a * a) - snap_target
-        chunks.append(_maxima(st.d(omega, 2), st.d(frame_to_coords(star_frame, st.a, 2), 2),
-                              form_wedge(omega[:, 0], omega[:, 0], 4, 2, 2),
-                              st.c[:, 0, 2:, 0, 1], st.c[:, 0, :2, 2, 3], snap,
+        chunks.append(_maxima(frame_d(c, omega_frame, 4, 2), frame_d(c, star_frame, 4, 2),
+                              wedge, c[:, 2:, 0, 1], c[:, :2, 2, 3], snap,
                               ric - 4.0 * a * a * snap_target))
     return dict(zip(("d_omega", "dstar_omega", "omega_wedge_omega", "f2_integrability",
                      "e2_integrability", "snap_deviation", "ricci_deviation"),
@@ -291,15 +294,18 @@ class StromingerReport:
 def theorem1_passed(hypotheses: dict, report: StromingerReport,
                     tol: float) -> bool:
     """Theorem-1 verdict: every hypothesis and conclusion residual within
-    tol, the torsion norm within TORSION_NORM_TOL, and nabla non-flat."""
+    tol, the torsion norm and the jacobian residual within TORSION_NORM_TOL,
+    and nabla non-flat."""
     return report.non_flat and all(
-        v <= (TORSION_NORM_TOL if k == "torsion_norm" else tol)
+        v <= (TORSION_NORM_TOL if k in ("torsion_norm", "jacobian_residual") else tol)
         for k, v in {**hypotheses, **report.residuals}.items())
 
 
 def strominger_check(bundle: BundleData, points) -> StromingerReport:
     """Numerically verify the bundle conclusions at interior points of the
-    total space, such as bundle.total.sample_points(rng, count)."""
+    total space, such as bundle.total.sample_points(rng, count).  d of eta, T
+    and *T is frame_d of c, which reads the closed-form jacobian J; so
+    jacobian_residual holds J to a central difference of the matrix A."""
     cf = bundle.total
     a = bundle.a
     mu2 = 4.0 * a * a
@@ -312,20 +318,20 @@ def strominger_check(bundle: BundleData, points) -> StromingerReport:
     target = np.array([0.0, 0.0, 0.5 * mu2, 0.5 * mu2, 0.5 * mu2])
     chunks, eig_rows = [], []
     for st in stencils(cf, points):
-        # ||T||^2 via the honest route: T = (d eta) wedge eta numerically
-        omega_frame = frame_to_coords(st.d(st.a[..., 4, :], 1), st.e[:, 0], 2)
-        t_num = form_wedge(omega_frame, eta, 5, 2, 1)
+        c = st.c[:, 0]
+        # ||T||^2 from the frame: T = (d eta) wedge eta, not the stored torsion
+        t_num = form_wedge(frame_d(c, eta, 5, 1), eta, 5, 2, 1)
         norm2 = (t_num[:, None, :] @ t_num[:, :, None])[:, 0, 0]
         rep_nabla = st.curvature(t)
         rep_g = st.curvature()
         eig_rows.append(rep_g.eigenvalues)
-        chunks.append(_maxima(norm2 - mu2, st.d(frame_to_coords(t_frame, st.a, 3), 3),
-                              st.d(frame_to_coords(star_t, st.a, 2), 2),
-                              connection_coefficients(st.c[:, 0], t)[:, :, 4, :],
+        chunks.append(_maxima(norm2 - mu2, st.jacobian_error(), frame_d(c, t_frame, 5, 3),
+                              frame_d(c, star_t, 5, 2), connection_coefficients(c, t)[:, :, 4, :],
                               rep_nabla.max_ric, rep_g.ric - tt_ric, rep_g.scal - 1.5 * mu2,
                               np.sort(rep_g.eigenvalues) - target, rep_nabla.max_riemann))
     residuals = dict(zip((
-        "torsion_norm",                  # | ||T||^2 - 4a^2 |, from dA ^ eta
+        "torsion_norm",                  # | ||T||^2 - 4a^2 |, from d eta ^ eta
+        "jacobian_residual",             # | central difference of A - J |
         "d_torsion", "dstar_torsion", "nabla_eta", "ric_nabla",
         "oneill",                        # || Ric^g - (1/4) sum T T ||
         "scal",                          # | Scal^g - (3/2)||T||^2 |

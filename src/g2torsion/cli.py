@@ -218,7 +218,8 @@ def cmd_kahler(args):
 def cmd_theorem1(args):
     """Conclusions at --points points drawn with --seed; all five hypotheses
     at assemble_N5's 10 fixed points, whatever --points and --seed say, kept
-    per process for each (a, domain, grid) by theorem1_bundle."""
+    per process for each (a, domain, grid) by theorem1_bundle; torsion_norm
+    and jacobian_residual are held to TORSION_NORM_TOL, not --tol."""
     from .bundle import (TORSION_NORM_TOL, strominger_check, theorem1_bundle,
                          theorem1_passed)
 

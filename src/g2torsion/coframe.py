@@ -10,13 +10,13 @@ nabla_[X,Y], with directional derivatives taken by central finite differences.
 
 Coframes are evaluated on stacks of points.  Every finite difference reads one
 ``Stencil``: the coframe at each point p of a chunk and at p +- h e_beta, with
-the frame vectors and structure functions of all rows from one batched pass;
-its curvature (optionally with frame-constant skew torsion, nabla = nabla^g +
-1/2 T) and d share one central difference.
+the jacobians, frame vectors and structure functions of all rows from one
+batched pass, for its curvature (optionally with frame-constant skew torsion,
+nabla = nabla^g + 1/2 T).  d of a frame-constant form is algebraic in c.
 
 A float k-form on an n-frame, in frame or coordinate components, is a numpy
-vector over ``forms.basis_indices(n, k)``; a change of basis acts on it by
-the k-th compound matrix, wedge, Hodge star and d by a signed incidence table.
+vector over ``forms.basis_indices(n, k)``; wedge, Hodge star and d act on it
+by a signed incidence table.
 """
 
 from __future__ import annotations
@@ -52,22 +52,9 @@ def _wedge_table(n: int, k: int, l: int):
             idx, sign = sort_index(ia + ib)
             if sign:
                 rows.append((i, j, out_pos[idx], sign))
-    table = np.array(rows, dtype=np.intp).T
+    table = np.array(rows, dtype=np.intp).reshape(-1, 4).T    # empty for k + l > n
     table.setflags(write=False)
     return tuple(table)
-
-
-def _minors(a: Array, k: int, rows: slice) -> Array:
-    """det a[..., I, J] for I in basis_indices(n, k)[rows] and every J."""
-    pos = np.array(basis_indices(a.shape[-1], k), dtype=np.intp) - 1
-    # C order keeps each C[q] of a stack laid out as the compound of a[q] alone
-    minors = np.ascontiguousarray(a[..., pos[rows, None, :, None], pos[None, :, None, :]])
-    return np.linalg.det(minors)
-
-
-def compound(a: Array, k: int) -> Array:
-    """k-th compound matrix: C[..., I, J] = det a[..., I, J] over basis_indices(n, k)."""
-    return _minors(a, k, slice(None))
 
 
 def _bincount(index: Array, weights: Array, size: int) -> Array:
@@ -89,14 +76,21 @@ def form_hodge(a: Array, n: int, k: int) -> Array:
     return _bincount(right, sign * a[..., left], math.comb(n, n - k))
 
 
-def frame_to_coords(components: Array, a_matrix: Array, k: int) -> Array:
-    """Rewrite frame k-forms (one, or a stack) in the coordinate basis:
-    f^I = det A[I,J] dx^J; one form with one nonzero f^I needs only row I."""
-    nonzero = np.flatnonzero(components)
-    if components.ndim > 1 or len(nonzero) > 1:
-        return (components[..., None, :] @ compound(a_matrix, k))[..., 0, :]
-    q = nonzero[0] if len(nonzero) else 0
-    return components[q] * _minors(a_matrix, k, slice(q, q + 1))[..., 0, :]
+def frame_d(c: Array, form: Array, n: int, k: int) -> Array:
+    """d of a frame-constant k-form, k >= 1, on an n-frame with structure
+    functions c (stacks broadcast): the derivation sending f^i to
+    df^i = -1/2 c^i_{jk} f^j wedge f^k, as sum_i df^i wedge (e_i hook form),
+    the float twin of liegroup.LieAlgebraData.ce_d."""
+    first, second = (np.array(basis_indices(n, 2), dtype=np.intp) - 1).T
+    d_basis = -c[..., first, second]             # df^i over basis_indices(n, 2)
+    # e_i hook e_K = sign e_J wherever e_i wedge e_J = sign e_K
+    left, right, out, sign = _wedge_table(n, 1, k - 1)
+    hook = np.zeros(np.broadcast_shapes(form.shape[:-1], c.shape[:-3])
+                    + (n, math.comb(n, k - 1)))
+    hook[..., left, right] = sign * form[..., out]
+    left, right, out, sign = _wedge_table(n, 2, k - 1)
+    prod = sum(d_basis[..., i, :, None] * hook[..., i, None, :] for i in range(n))
+    return _bincount(out, sign * prod[..., left, right], math.comb(n, k + 1))
 
 
 def stencil_points(p: Array, h: float) -> Array:
@@ -170,7 +164,8 @@ class SingularCoframe(ValueError):
 
 def _structure(cf: CoframeField, pts: Array):
     """Coframe matrices A, frame vectors E = A^{-1} (e_j = sum_beta E[beta, j]
-    d/dx_beta) and structure functions c at the rows pts[point, row]."""
+    d/dx_beta), structure functions c and the frame's jacobians J at the rows
+    pts[point, row]."""
     a, jac = (np.asarray(v, dtype=float) for v in cf.frame(pts))
     if a.shape != pts.shape[:-1] + (cf.n, cf.n):
         raise ValueError(f"coframe matrix must be {cf.n}x{cf.n}")
@@ -188,7 +183,7 @@ def _structure(cf: CoframeField, pts: Array):
     for alpha, beta in np.argwhere(jac.any(axis=tuple(range(jac.ndim - 2)))):
         m += (jac[..., :, alpha, beta, None] * e[..., beta, None, :])[..., None] \
             * e[..., alpha, None, None, :]
-    return a, e, m.swapaxes(-1, -2) - m
+    return a, e, m.swapaxes(-1, -2) - m, jac
 
 
 def structure_functions(cf: CoframeField, p: Array) -> Array:
@@ -242,17 +237,20 @@ class CurvatureReport:
 
 class Stencil:
     """A coframe at points p (P, n) and p +- h e_beta (rows of stencil_points),
-    with coframe matrices ``a``, frame vectors ``e`` and structure functions
-    ``c`` indexed [point, row]; row 0 is p.  h defaults to the coframe's step."""
+    with coframe matrices ``a``, frame vectors ``e``, structure functions
+    ``c`` and the frame's jacobians ``jac`` indexed [point, row]; row 0 is p.
+    h defaults to the coframe's step."""
 
     def __init__(self, cf: CoframeField, points: Array, h: float | None = None):
         self.n = cf.n
         self.h = cf.h if h is None else h
-        self.a, self.e, self.c = _structure(cf, stencil_points(points, self.h))
+        self.a, self.e, self.c, self.jac = _structure(cf, stencil_points(points, self.h))
 
-    def d(self, values: Array, k: int) -> Array:
-        """d at each point of a coordinate k-form given at the rows."""
-        return central_d(values, self.n, k, self.h)
+    def jacobian_error(self) -> Array:
+        """Central difference of A over the rows minus the frame's jacobian
+        J at row 0, [point, i, j, beta]: zero up to O(h^2) and rounding for a
+        J that is the derivative of A."""
+        return np.moveaxis(central_partials(self.a, self.n, self.h), 1, -1) - self.jac[:, 0]
 
     def curvature(self, t: Array | None = None) -> CurvatureReport:
         """Curvature, Ricci tensor and Ricci eigenvalues at each point, for

@@ -64,10 +64,10 @@ class Bernstein:
     On [x[i], x[i+1]] it is sum_j c[j, i] C(k, j) s^j (1 - s)^(k - j) with
     s = (x - x[i]) / (x[i+1] - x[i]); points outside [x[0], x[-1]] use the
     end pieces.  Evaluation copies scipy's evaluate_bpoly1 operation for
-    operation: degree 3 in closed form, every other degree as the sum of
-    comb * s**j * s1**(k - j) * c[j] with libm pow, so the values agree with
-    BPoly(c, x) bit for bit.  Every argument, a scalar included, is
-    evaluated in numpy.
+    operation above degree 3 (u, u', Q and dQ/dx have degree 5, 4, 6 and 5):
+    the sum of comb * s**j * s1**(k - j) * c[j] with libm pow, so the values
+    agree with BPoly(c, x) bit for bit.  Every argument, a scalar included,
+    is evaluated in numpy.
     """
 
     def __init__(self, c, x):
@@ -87,9 +87,6 @@ class Bernstein:
         s1 = 1.0 - s
         c = self.c[:, i]
         k = len(c) - 1
-        if k == 3:
-            return (c[0] * s1 * s1 * s1 + c[1] * 3.0 * s1 * s1 * s
-                    + c[2] * 3.0 * s1 * s * s + c[3] * s * s * s)
         res = np.zeros_like(s)
         for j, comb in enumerate(self._combs):
             res += comb * np.float_power(s, j) * np.float_power(s1, k - j) * c[j]
@@ -187,7 +184,6 @@ class LiouvilleSolution:
     iterations: int
     u: Bernstein = field(repr=False)      # the C^2 quintic evaluator of u
     du: Bernstein = field(repr=False)     # u'
-    d2u: Bernstein = field(repr=False)    # u''
     # Residual max-norm before the first and after every Newton step.
     trace: tuple
 
@@ -373,7 +369,4 @@ def solve_liouville(a, domain=(1.0, 2.0), n=400) -> LiouvilleSolution:
     du = _node_slopes(u, (cfg.x1 - cfg.x0) / cfg.n)
     d2u = -8.0 * cfg.a ** 2 * x * np.exp(u)   # ODE-consistent
     poly = quintic_hermite(x, u, du, d2u)
-    dpoly = poly.derivative()
-    d2poly = dpoly.derivative()
-    return LiouvilleSolution(cfg, x, u, norm, iters, poly, dpoly, d2poly,
-                             trace)
+    return LiouvilleSolution(cfg, x, u, norm, iters, poly, poly.derivative(), trace)

@@ -2,8 +2,9 @@
 
 Residual budgets here rehearse the acceptance targets: the base Ricci
 spectrum {0, 0, 4a^2, 4a^2} to 1e-6, the hypothesis panel to 1e-6, the
-torsion norm identity to 1e-8, and the characteristic-connection residuals
-to 1e-6 with visibly nonzero full curvature.
+torsion norm identity and the jacobian residual to 1e-8, and the
+characteristic-connection residuals to 1e-6 with visibly nonzero full
+curvature.
 """
 
 import collections
@@ -37,8 +38,8 @@ def test_base_ricci_spectrum():
 HYPOTHESES = ("d_omega", "dstar_omega", "omega_wedge_omega",
               "f2_integrability", "e2_integrability", "snap_deviation",
               "ricci_deviation")
-RESIDUALS = ("torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta",
-             "ric_nabla", "oneill", "scal", "ricci_eigen")
+RESIDUALS = ("torsion_norm", "jacobian_residual", "d_torsion", "dstar_torsion",
+             "nabla_eta", "ric_nabla", "oneill", "scal", "ricci_eigen")
 #: A conclusion report that holds, for judging the hypotheses alone.
 CONCLUSIONS_HOLD = bd.StromingerReport(dict.fromkeys(RESIDUALS, 0.0),
                                        np.zeros((1, 5)), 1.0, 1, True)
@@ -66,7 +67,7 @@ def test_panel_detects_wrong_scale():
 def test_assemble_rejects_tampered_solution():
     """Swapping in the conformal factor of a different parameter must fail."""
     other = solve_liouville(0.3)
-    tampered = dataclasses.replace(SOL, u=other.u, du=other.du, d2u=other.d2u)
+    tampered = dataclasses.replace(SOL, u=other.u, du=other.du)
     data = bd.assemble_N5(tampered)
     assert data.hypotheses["ricci_deviation"] > 1e-6
     report = bd.strominger_check(
@@ -142,14 +143,16 @@ def test_kept_panel_is_measured_on_its_own_solution(monkeypatch):
 
 
 def test_potential_is_smooth_across_the_chart():
-    """||T||^2 reads d eta by a central difference, which a jump in Q'' would
-    throw across a node.  At the heaviest key the torsion norm stays within a
-    tenth of its bound along 2,001 x values through the whole chart; the
-    closed form Q = (u'(x0) - u')/(4a), only C^2, reads about 1.1e-8 here."""
+    """jacobian_residual reads Q' by a central difference of the coframe
+    matrix, which a jump in Q'' would throw across a node.  At the heaviest
+    key it stays within a tenth of TORSION_NORM_TOL along 2,001 x values
+    through the whole chart (2.1e-10); the closed form
+    Q = (u'(x0) - u')/(4a), only C^2, read about 1.1e-8 in the same central
+    difference when the torsion norm took it."""
     data = bd.theorem1_bundle(0.45, (1.0, 2.0), 1600)
     points = [np.array([x, 0.1, -0.2, 0.3, 0.05]) for x in np.linspace(1.02, 1.98, 2001)]
     report = bd.strominger_check(data, points)
-    assert report.residuals["torsion_norm"] <= bd.TORSION_NORM_TOL / 10
+    assert report.residuals["jacobian_residual"] <= bd.TORSION_NORM_TOL / 10
 
 
 def test_bundle_coframe_shape():
@@ -172,7 +175,8 @@ def test_strominger_conclusions():
     items = report.residuals
     assert tuple(items) == RESIDUALS
     assert items["torsion_norm"] < 1e-8, items
-    for name in RESIDUALS[1:]:
+    assert items["jacobian_residual"] < 1e-8, items
+    for name in RESIDUALS[2:]:
         assert items[name] < 1e-6, (name, items[name])
     assert report.max_r_nabla > 0.01          # Ricci-flat but NOT flat
     assert report.non_flat and bd.theorem1_passed(data.hypotheses, report, 1e-6)
@@ -183,8 +187,8 @@ def test_strominger_conclusions():
 
 def test_theorem1_verdict_holds_torsion_norm_to_its_own_bound():
     """One verdict over hypotheses and conclusions: each within tol, the
-    torsion norm within its own bound, a NaN residual failing, and nabla
-    non-flat."""
+    torsion norm and the jacobian residual within their own bound, a NaN
+    residual failing, and nabla non-flat."""
     hypotheses = dict.fromkeys(HYPOTHESES + ("potential_residual",), 0.0)
 
     def passes(non_flat=True, **change):
@@ -196,6 +200,8 @@ def test_theorem1_verdict_holds_torsion_norm_to_its_own_bound():
     assert passes()
     assert passes(torsion_norm=0.5 * bd.TORSION_NORM_TOL)
     assert not passes(torsion_norm=2 * bd.TORSION_NORM_TOL)
+    assert passes(jacobian_residual=0.5 * bd.TORSION_NORM_TOL)
+    assert not passes(jacobian_residual=2 * bd.TORSION_NORM_TOL)
     assert passes(oneill=0.5e-6)
     assert not passes(oneill=2e-6)
     assert passes(ricci_deviation=0.5e-6)
@@ -234,6 +240,38 @@ def test_closed_form_jacobians_match_central_differences(a):
         for p in cf.sample_points(np.random.default_rng(19), 5):
             assert 1.9 < fd_convergence_order(cf, p) < 2.1
             assert np.max(np.abs(fd(p)[1] - cf.frame(p)[1])) < 1e-7
+
+
+def scale_potential(a, j):
+    a[..., 4, 1] *= 1.001          # Q in A only, its jacobian left alone
+
+
+def scale_potential_jacobian(a, j):
+    j[..., 4, 1, 0] *= 1.002       # dQ/dx in J only
+
+
+@pytest.mark.parametrize("edit, caught_by", [
+    (scale_potential, ("jacobian_residual",)),
+    (scale_potential_jacobian, ("torsion_norm", "jacobian_residual")),
+], ids=["Q", "J410"])
+def test_frame_whose_matrix_and_jacobian_disagree_fails(edit, caught_by):
+    """d of the frame forms reads the structure functions, hence J alone, so
+    a frame whose A and J disagree must fail through jacobian_residual (and
+    a wrong J through the torsion norm too), even at a loose tolerance."""
+    data = bd.assemble_N5(SOL)
+
+    def frame(p):
+        a, j = data.total.frame(p)
+        edit(a, j)
+        return a, j
+
+    broken = dataclasses.replace(data, total=dataclasses.replace(data.total, frame=frame))
+    points = data.total.sample_points(np.random.default_rng(9), 10)
+    report = bd.strominger_check(broken, points)
+    over = [k for k, v in report.residuals.items() if v > bd.TORSION_NORM_TOL]
+    assert set(over) >= set(caught_by), report.residuals
+    assert not bd.theorem1_passed(data.hypotheses, report, 1e-2)
+    assert bd.theorem1_passed(data.hypotheses, bd.strominger_check(data, points), 1e-2)
 
 
 def test_one_frame_evaluation_per_stencil(monkeypatch):

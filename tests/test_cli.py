@@ -451,8 +451,8 @@ def test_theorem1_judges_hypotheses_at_tol(capsys):
     assert float(hyp["ricci_deviation"]) == pytest.approx(1.34256559103e-05, rel=1e-6)
     assert [k for k, v in hyp.items() if float(v) > 1e-6] == ["ricci_deviation"]
     assert set(payload["residuals"]) == {
-        "torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta", "ric_nabla",
-        "oneill", "scal", "ricci_eigen"}
+        "torsion_norm", "jacobian_residual", "d_torsion", "dstar_torsion", "nabla_eta",
+        "ric_nabla", "oneill", "scal", "ricci_eigen"}
     assert payload["non_flat"] is True
 
 

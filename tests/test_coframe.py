@@ -1,9 +1,11 @@
 """Floating-point coframe calculus against exact oracles.
 
-The dense float forms are compared with the exact rational Form class:
-compound matrices and frame-to-coordinate changes with the exact pullback, wedge
-and Hodge star with Form.wedge and Form.hodge.  Curvature is checked on the
-flat chart and on the round 2-sphere, where Ric = (1/r^2) Id is classical.
+The dense float forms are compared with the exact rational Form class: the
+compound-matrix oracle of tests/util with the exact pullback, wedge and Hodge
+star with Form.wedge and Form.hodge, and frame_d on the constant structure
+functions of left-invariant frames with LieAlgebraData.ce_d.  Curvature is
+checked on the flat chart and on the round 2-sphere, where Ric = (1/r^2) Id
+is classical.
 """
 
 import math
@@ -11,13 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from g2torsion import coframe as co
+from g2torsion import liegroup as lg
 from g2torsion.forms import Form, basis_indices, form_to_vector
 
 from .util import (fd_convergence_order, fd_frame, flat_coframe, forms, pullback,
-                   rational_matrix, sphere_coframe)
+                   rational_matrix, reference_compound, reference_frame_to_coords,
+                   sphere_coframe)
 
 RNG = np.random.default_rng(20240817)
 
@@ -37,14 +41,14 @@ def test_compound_matches_exact_pullback(q):
     for k in range(5):
         basis = basis_indices(4, k)
         want = np.array([dense(pullback(Form.basis(4, *idx), q), k) for idx in basis])
-        assert np.allclose(co.compound(qf, k), want, rtol=1e-9, atol=1e-9)
+        assert np.allclose(reference_compound(qf, k), want, rtol=1e-9, atol=1e-9)
 
 
 @given(rational_matrix(5), forms(5, 2), forms(5, 3))
 def test_frame_to_coords_matches_exact_pullback(q, a2, a3):
     qf = np.array(q, dtype=float)
     for form, k in ((a2, 2), (a3, 3)):
-        got = co.frame_to_coords(dense(form, k), qf, k)
+        got = reference_frame_to_coords(dense(form, k), qf, k)
         assert np.allclose(got, dense(pullback(form, q), k), rtol=1e-9, atol=1e-9)
 
 
@@ -78,15 +82,56 @@ def test_frame_coords_roundtrip():
     a = RNG.normal(size=(4, 4)) + 4 * np.eye(4)
     for form, k in ((Form(4, {(1, 2): Fraction(3, 2), (2, 3): Fraction(1, 4)}), 2),
                     (Form(4, {(1, 3, 4): -2}), 3)):
-        coords = co.frame_to_coords(dense(form, k), a, k)
-        back = co.frame_to_coords(coords, np.linalg.inv(a), k)   # dx^J = det A^-1[J,I] f^I
+        coords = reference_frame_to_coords(dense(form, k), a, k)
+        back = reference_frame_to_coords(coords, np.linalg.inv(a), k)   # dx^J = det A^-1[J,I] f^I
         assert np.max(np.abs(back - dense(form, k))) < 1e-9
 
 
 def test_frame_to_coords_on_diagonal_matrix():
     a = np.diag([2.0, 3.0, 5.0])
-    out = co.frame_to_coords(np.array([1.0, 0.0, 0.0]), a, 2)    # f^1 ^ f^2
+    out = reference_frame_to_coords(np.array([1.0, 0.0, 0.0]), a, 2)    # f^1 ^ f^2
     assert np.array_equal(out, [6.0, 0.0, 0.0])
+
+
+# ------------------------------------------------------------ frame d
+
+#: Left-invariant frames: su(2) on several slots and scales, r4_su2, and the
+#: filiform n4 and the free 2-step nilpotent algebra of tests/test_liegroup.
+LEFT_INVARIANT = [
+    lg.su2(1),
+    lg.su2(Fraction(5, 3), n=7, slots=(4, 1, 6)),
+    lg.su2(2, n=7, slots=(1, 2, 3)),
+    lg.r4_su2(Fraction(-7)),
+    lg.LieAlgebraData(7, {(1, 2): {3: 1}, (1, 3): {4: Fraction(1, 2)}}),
+    lg.LieAlgebraData(7, {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}}),
+]
+
+
+def float_structure(alg):
+    """c[i, j, k] = c^i_{jk} of a metric Lie algebra as floats, the constant
+    structure functions of its left-invariant orthonormal frame."""
+    n = range(1, alg.n + 1)
+    return np.array([[[float(alg.c(j, k, i)) for k in n] for j in n] for i in n])
+
+
+def algebra_and_form(alg):
+    return st.tuples(st.just(alg), st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.just(k), forms(alg.n, k))))
+
+
+@given(st.sampled_from(LEFT_INVARIANT).flatmap(algebra_and_form))
+def test_frame_d_equals_exact_ce_d(case):
+    """The float d of frame-constant forms is the exact invariant d: frame_d
+    on a left-invariant frame's constant c equals ce_d rendered as floats,
+    for one c and for a stack of c."""
+    alg, (k, form) = case
+    c = float_structure(alg)
+    want = dense(alg.ce_d(form), k + 1)
+    got = co.frame_d(c, dense(form, k), alg.n, k)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    stacked = co.frame_d(np.stack([c, 2 * c]), dense(form, k), alg.n, k)
+    assert np.array_equal(stacked[0], got)
+    assert np.allclose(stacked[1], 2 * want, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ curvature

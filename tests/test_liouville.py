@@ -25,7 +25,7 @@ def test_zero_parameter_solution_is_linear():
     xs = np.linspace(1.0, 3.0, 17)
     assert np.max(np.abs(sol.u(xs))) < 1e-12
     assert np.max(np.abs(sol.du(xs))) < 1e-10
-    assert np.max(np.abs(sol.d2u(xs))) < 1e-10
+    assert np.max(np.abs(sol.du.derivative()(xs))) < 1e-10
     assert sol.residual_norm < 1e-12
 
 
@@ -48,19 +48,20 @@ def test_evaluator_satisfies_ode_off_grid(a, n, bound):
     fourth-order slopes it is 1.0e-7 to 1.3e-5 at n = 200 and 400."""
     sol = solve_liouville(a, n=n)
     xs = np.linspace(1.0, 2.0, 4001)
-    residual = sol.d2u(xs) + 8 * a * a * xs * np.exp(sol.u(xs))
+    residual = sol.du.derivative()(xs) - ode_rhs(sol, xs)
     assert np.max(np.abs(residual)) < bound
 
 
 def test_evaluator_derivative_consistency():
-    """The packaged derivative evaluators are the actual derivatives of u."""
+    """The packaged derivative evaluator is the actual derivative of u, and
+    its own derivative u''."""
     sol = solve_liouville(0.5)
     xs = np.linspace(1.05, 1.95, 19)
     h = 1e-6
     fd_du = (sol.u(xs + h) - sol.u(xs - h)) / (2 * h)
     fd_d2u = (sol.du(xs + h) - sol.du(xs - h)) / (2 * h)
     assert np.max(np.abs(fd_du - sol.du(xs))) < 1e-8
-    assert np.max(np.abs(fd_d2u - sol.d2u(xs))) < 1e-6
+    assert np.max(np.abs(fd_d2u - sol.du.derivative()(xs))) < 1e-6
 
 
 def test_solution_is_concave_for_positive_parameter():

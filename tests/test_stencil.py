@@ -1,10 +1,13 @@
 """The batched coframe stencil against per-call references, bit for bit.
 
 ``coframe.Stencil`` samples a coframe at p and p +- h e_beta once and reads
-curvature, structure functions and d from those rows.  The references in
-``tests/util.py`` evaluate the coframe again for every quantity, one point
-at a time.  Every result must be equal as floats, not merely close: the
-float goldens compare finite-difference noise at 1e-12.
+curvature, structure functions and jacobians from those rows; d of
+frame-constant forms is ``coframe.frame_d`` of the structure functions.  The
+references in ``tests/util.py`` evaluate the coframe again for every
+quantity, one point at a time.  Every result must be equal as floats, not
+merely close: the float goldens compare finite-difference noise at 1e-12.
+The coordinate route, frame forms rewritten through compound matrices and
+differenced centrally, is the oracle that frame_d is checked against.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ from g2torsion.liouville import solve_liouville
 from .util import (fd_frame, flat_coframe, reference_frame_to_coords,
                    reference_levi_civita, reference_numeric_d,
                    reference_riemann_ricci, reference_structure_functions,
-                   singular_coframe, sphere_fd_coframe)
+                   singular_coframe, sphere_coframe, sphere_fd_coframe)
 
 BUNDLES = {a: bd.assemble_N5(solve_liouville(a, n=200)) for a in (0.0, 0.25, 0.5)}
 
@@ -74,7 +77,8 @@ def test_finite_difference_jacobian_equals_reference():
 @pytest.mark.parametrize("cf", [case[1] for case in PLAIN],
                          ids=[case[0] for case in PLAIN])
 def test_stencil_d_equals_per_call_reference(cf):
-    """d of coordinate forms read from the stencil rows, for every degree."""
+    """central_d of coordinate forms given at the stencil rows, and
+    numeric_d, for every degree."""
     n = cf.n
     for p in cf.sample_points(np.random.default_rng(23), 4):
         for h in (1e-5, 2e-4):
@@ -83,11 +87,43 @@ def test_stencil_d_equals_per_call_reference(cf):
                 comps = np.arange(1.0, math.comb(n, k) + 1)
 
                 def form(q, comps=comps, k=k):
-                    return co.frame_to_coords(comps, cf.frame(q)[0], k)
+                    return reference_frame_to_coords(comps, cf.frame(q)[0], k)
 
                 want = reference_numeric_d(form, n, k, p, h)
-                assert np.array_equal(st.d(co.frame_to_coords(comps, st.a, k), k)[0], want)
+                rows = np.array([[reference_frame_to_coords(comps, a, k) for a in st.a[0]]])
+                assert np.array_equal(co.central_d(rows, n, k, h)[0], want)
                 assert np.array_equal(co.numeric_d(form, n, k, p, h), want)
+
+
+def d_cases():
+    """(id, coframe) for the round sphere and the Kaehler and N^5 frames."""
+    yield "sphere", sphere_coframe(1.5)
+    for a, data in BUNDLES.items():
+        yield f"kahler-{a}", data.base
+        yield f"N5-{a}", data.total
+
+
+D_CASES = list(d_cases())
+
+
+@pytest.mark.parametrize("cf", [case[1] for case in D_CASES],
+                         ids=[case[0] for case in D_CASES])
+def test_frame_d_equals_central_difference_of_coordinate_form(cf):
+    """frame_d of a frame-constant form, from the structure functions alone,
+    against the central difference of the same form in coordinates through
+    compound matrices: equal within the difference's O(h^2) and rounding,
+    far below the size of d itself."""
+    n = cf.n
+    for p in cf.sample_points(np.random.default_rng(29), 3):
+        a = cf.frame(p)[0]
+        c = reference_structure_functions(cf, p)
+        for k in range(1, n):
+            comps = np.cos(np.arange(1.0, math.comb(n, k) + 1))
+            got = reference_frame_to_coords(co.frame_d(c, comps, n, k), a, k + 1)
+            want = reference_numeric_d(
+                lambda q: reference_frame_to_coords(comps, cf.frame(q)[0], k), n, k, p)
+            assert np.max(np.abs(want)) > 0.01
+            assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_stencil_rows_are_the_displaced_points():
@@ -149,7 +185,7 @@ def test_structure_contraction_equals_einsum_bitwise(cf):
     sign bits of zeros included."""
     points = np.array(cf.sample_points(np.random.default_rng(41), co.CHUNK))
     pts = co.stencil_points(points, cf.h)
-    _, e, c = co._structure(cf, pts)
+    _, e, c, _ = co._structure(cf, pts)
     m = np.einsum("...iab,...bj,...ak->...ijk", cf.frame(pts)[1], e, e)
     want = m.swapaxes(-1, -2) - m
     assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
@@ -191,7 +227,8 @@ def test_nan_coframe_row_reaches_structure_functions_and_verdict():
                          ids=[case[0] for case in FRAMES])
 def test_batched_stencil_equals_per_point_references(cf, torsion, count):
     """A Stencil over a stack of points, and the chunks of ``stencils``,
-    give each point the per-call references' values, at a = 0 as well."""
+    give each point the per-call references' values, at a = 0 as well;
+    frame_d of the stack gives each point its own frame_d."""
     points = np.array(cf.sample_points(np.random.default_rng(31), count))
     t = None if torsion is None else co.skew_tensor(torsion, cf.n)
     st = co.Stencil(cf, points)
@@ -199,42 +236,21 @@ def test_batched_stencil_equals_per_point_references(cf, torsion, count):
     chunked = [s.curvature(t) for s in co.stencils(cf, points)]
     assert len(chunked) == -(-count // co.CHUNK)
     comps = [np.arange(1.0, math.comb(cf.n, k) + 1) for k in range(cf.n)]
-    d = [st.d(co.frame_to_coords(comps[k], st.a, k), k) for k in range(cf.n)]
+    d = [co.frame_d(st.c[:, 0], comps[k], cf.n, k) for k in range(1, cf.n)]
     for q, p in enumerate(points):
         want = reference_riemann_ricci(cf, p, torsion)
         for name in ("riemann", "ric", "eigenvalues"):
             assert np.array_equal(getattr(rep, name)[q], getattr(want, name)), name
         assert rep.symmetry_error[q] == want.symmetry_error
         assert rep.scal[q] == want.scal
-        assert np.array_equal(st.c[q, 0], reference_structure_functions(cf, p))
-        for k in range(cf.n):
-            def form(x, k=k):
-                return reference_frame_to_coords(comps[k], cf.frame(x)[0], k)
-            assert np.array_equal(d[k][q], reference_numeric_d(form, cf.n, k, p, cf.h))
+        c = reference_structure_functions(cf, p)
+        assert np.array_equal(st.c[q, 0], c)
+        assert np.array_equal(st.jac[q, 0], cf.frame(p)[1])
+        for k in range(1, cf.n):
+            assert np.array_equal(d[k - 1][q], co.frame_d(c, comps[k], cf.n, k))
     for name in ("riemann", "ric", "eigenvalues", "scal"):
         assert np.array_equal(np.concatenate([getattr(r, name) for r in chunked]),
                               getattr(rep, name)), name
-
-
-@pytest.mark.parametrize("cf", [case[1] for case in PLAIN],
-                         ids=[case[0] for case in PLAIN])
-def test_one_row_minors_equal_the_full_compound(cf):
-    """A frame form with at most one nonzero component reads one row of
-    minors; the coordinates equal components @ compound(a, k) bit for bit,
-    for the zero form too, on a single matrix and on stencil stacks."""
-    n = cf.n
-    st = co.Stencil(cf, np.array(cf.sample_points(np.random.default_rng(5), 3)))
-    for a in (st.a, st.a[0, 0], st.e[:, 0]):
-        for k in range(n + 1):
-            size = math.comb(n, k)
-            forms = [np.zeros(size)]
-            for q in range(size):
-                forms.append(np.zeros(size))
-                forms[-1][q] = (-1.0) ** q * (0.75 + q)
-            for comps in forms:
-                got = co.frame_to_coords(comps, a, k)
-                assert got.shape == a.shape[:-2] + (size,)
-                assert np.array_equal(got, reference_frame_to_coords(comps, a, k))
 
 
 def test_singular_coframe_at_second_point_raises_the_same_message():
@@ -283,25 +299,16 @@ def test_errors_are_raised_for_the_first_failing_point():
 
 def reference_panel(cf, a, points):
     """hypothesis_panel's residuals from the per-call references, at the
-    coframe's step."""
-    h = cf.h
+    coframe's step, with d from frame_d at each point alone."""
     omega_frame = bd._frame_form(4, (1, 2), 2.0 * a)
     star_frame = co.form_hodge(omega_frame, 4, 2)
-
-    def omega_coords(p):
-        return co.frame_to_coords(omega_frame, cf.frame(p)[0], 2)
-
-    def star_coords(p):
-        return co.frame_to_coords(star_frame, cf.frame(p)[0], 2)
-
     snap_target = np.diag([1.0, 1.0, 0.0, 0.0])
     d_omega = dstar = wedge = f2_int = e2_int = snap = ric_dev = 0.0
     for p in points:
-        d_omega = max(d_omega, np.abs(reference_numeric_d(omega_coords, 4, 2, p, h)).max())
-        dstar = max(dstar, np.abs(reference_numeric_d(star_coords, 4, 2, p, h)).max())
-        oc = omega_coords(p)
-        wedge = max(wedge, np.abs(co.form_wedge(oc, oc, 4, 2, 2)).max())
         c = reference_structure_functions(cf, p)
+        d_omega = max(d_omega, np.abs(co.frame_d(c, omega_frame, 4, 2)).max())
+        dstar = max(dstar, np.abs(co.frame_d(c, star_frame, 4, 2)).max())
+        wedge = max(wedge, np.abs(co.form_wedge(omega_frame, omega_frame, 4, 2, 2)).max())
         f2_int = max(f2_int, max(abs(c[m, 0, 1]) for m in (2, 3)))
         e2_int = max(e2_int, max(abs(c[m, 2, 3]) for m in (0, 1)))
         rep = reference_riemann_ricci(cf, p)
@@ -317,28 +324,30 @@ def reference_panel(cf, a, points):
 
 def reference_strominger(data, points, h=1e-5):
     """strominger_check's residuals, the largest |R^nabla| and the Ricci
-    eigenvalue rows from the per-call references."""
+    eigenvalue rows from the per-call references, with d from frame_d at
+    each point alone and the jacobian residual from fd_frame."""
     cf, a = data.total, data.a
     mu2 = 4.0 * a * a
     t_frame = data.torsion
     tt_ric = co.torsion_ricci(co.skew_tensor(t_frame, 5))
     star_t = co.form_hodge(t_frame, 5, 3)
     target = np.array([0.0, 0.0, 0.5 * mu2, 0.5 * mu2, 0.5 * mu2])
-    out = dict.fromkeys(("torsion_norm", "d_torsion", "dstar_torsion", "nabla_eta",
-                         "ric_nabla", "oneill", "scal", "ricci_eigen"), 0.0)
+    eta = bd._frame_form(5, (5,), 1.0)
+    out = dict.fromkeys(("torsion_norm", "jacobian_residual", "d_torsion", "dstar_torsion",
+                         "nabla_eta", "ric_nabla", "oneill", "scal", "ricci_eigen"), 0.0)
     curv = 0.0
     eig_rows = []
     for p in points:
-        d_eta = reference_numeric_d(lambda q: cf.frame(q)[0][4], 5, 1, p, h)
-        omega_frame = co.frame_to_coords(d_eta, np.linalg.inv(cf.frame(p)[0]), 2)
-        t_num = co.form_wedge(omega_frame, bd._frame_form(5, (5,), 1.0), 5, 2, 1)
+        c = reference_structure_functions(cf, p)
+        t_num = co.form_wedge(co.frame_d(c, eta, 5, 1), eta, 5, 2, 1)
         out["torsion_norm"] = max(out["torsion_norm"], abs(t_num @ t_num - mu2))
-        out["d_torsion"] = max(out["d_torsion"], np.abs(reference_numeric_d(
-            lambda q: co.frame_to_coords(t_frame, cf.frame(q)[0], 3), 5, 3, p, h)).max())
-        out["dstar_torsion"] = max(out["dstar_torsion"], np.abs(reference_numeric_d(
-            lambda q: co.frame_to_coords(star_t, cf.frame(q)[0], 2), 5, 2, p, h)).max())
-        gam = (reference_levi_civita(reference_structure_functions(cf, p))
-               + 0.5 * co.skew_tensor(t_frame, 5))
+        fd_jac = fd_frame(lambda q: cf.frame(q)[0], 5, h)(p)[1]
+        out["jacobian_residual"] = max(out["jacobian_residual"],
+                                       np.abs(fd_jac - cf.frame(p)[1]).max())
+        out["d_torsion"] = max(out["d_torsion"], np.abs(co.frame_d(c, t_frame, 5, 3)).max())
+        out["dstar_torsion"] = max(out["dstar_torsion"],
+                                   np.abs(co.frame_d(c, star_t, 5, 2)).max())
+        gam = reference_levi_civita(c) + 0.5 * co.skew_tensor(t_frame, 5)
         out["nabla_eta"] = max(out["nabla_eta"], float(np.max(np.abs(gam[:, 4, :]))))
         rep_nabla = reference_riemann_ricci(cf, p, t_frame, h=h)
         out["ric_nabla"] = max(out["ric_nabla"], rep_nabla.max_ric)
@@ -355,9 +364,9 @@ def reference_strominger(data, points, h=1e-5):
 @pytest.mark.parametrize("a", sorted(BUNDLES))
 @pytest.mark.parametrize("h", [1e-5, 3e-5])
 def test_hypothesis_panel_equals_reference(a, h):
-    """One stencil at the coframe's step serves d and curvature.  At these
-    points d * Omega is rounding noise of a size that depends on h (2.8e-12
-    against 9.3e-13 at a = 1/4), so reading d at another step shows."""
+    """Curvature reads one stencil at the coframe's step, so reading it at
+    another step shows in ricci_deviation; d * Omega is frame_d of row 0's
+    structure functions and does not depend on h."""
     cf = dataclasses.replace(BUNDLES[a].base, h=h)
     points = cf.sample_points(np.random.default_rng(2), 4)
     panel = bd.hypothesis_panel(cf, a, points)

@@ -419,9 +419,18 @@ def singular_coframe(x_singular, h=1e-5):
     return co.CoframeField(2, ((0.0, 1.0), (0.0, 1.0)), fd_frame(matrix, 2, h), h=h)
 
 
+def reference_compound(a, k):
+    """k-th compound matrix of one matrix: C[I, J] = det a[I, J] over
+    basis_indices(n, k)."""
+    idx = basis_indices(len(a), k)
+    pos = np.array(idx, dtype=int).reshape(len(idx), k) - 1
+    return np.linalg.det(a[pos[:, None, :, None], pos[None, :, None, :]])
+
+
 def reference_frame_to_coords(components, a, k):
-    """One product with the full k-th compound matrix, for any form."""
-    return components @ co.compound(a, k)
+    """Frame k-form components of the coframe A in the coordinate basis,
+    f^I = det A[I, J] dx^J, one product with the full compound matrix."""
+    return components @ reference_compound(a, k)
 
 
 def reference_structure_functions(cf, p):
@@ -495,4 +504,4 @@ def ode_rhs(sol, x):
 
 
 def is_concave(sol):
-    return bool(np.all(sol.d2u(sol.grid) <= 1e-12))
+    return bool(np.all(sol.du.derivative()(sol.grid) <= 1e-12))
